@@ -8,9 +8,9 @@ GO ?= go
 # so it runs here and nowhere else.
 RACE_PKGS = ./internal/core/ ./internal/exec/ ./internal/server/ ./internal/client/ ./internal/nndescent/ ./internal/wal/ ./internal/graph/ ./internal/theap/ ./internal/sq/ ./internal/fault/ ./internal/blockcache/
 
-.PHONY: check fmt vet build test race lint lockgraph invariants faults recover bench-exec bench-allocs bench-sq bench-tier bench-chaos allocs-gate
+.PHONY: check fmt vet build test race lint lockgraph lockgraph-check invariants faults recover bench-exec bench-allocs bench-sq bench-tier bench-chaos allocs-gate
 
-check: fmt vet build test race lint invariants faults recover
+check: fmt vet build test race lint lockgraph-check invariants faults recover
 
 # The tknnlint corpus under cmd/tknnlint/testdata is lint-rule input, not
 # repository code; its formatting is frozen with its goldens.
@@ -40,6 +40,12 @@ lint:
 # fails `make lint` if this graph ever acquires a cycle.
 lockgraph:
 	$(GO) run ./cmd/tknnlint -lockgraph ./... > lockorder.dot
+
+# The checked-in graph must be the current one. Edge labels carry
+# file:line witnesses, so an edit above a witness line needs a
+# `make lockgraph` too.
+lockgraph-check:
+	$(GO) run ./cmd/tknnlint -lockgraph ./... | diff - lockorder.dot
 
 # Deep-validation build: the whole suite with runtime invariant assertions
 # compiled in (internal/invariant), including the differential oracle

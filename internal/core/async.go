@@ -1,33 +1,33 @@
 package core
 
-import (
-	"sync"
-
-	"repro/internal/graph"
-	"repro/internal/invariant"
-	"repro/internal/sq"
-	"repro/internal/vec"
-)
-
 // Asynchronous merging (Options.AsyncMerge). The paper's Algorithm 3
 // builds the sealed leaf's graph and every newly completed ancestor inside
 // the insert call; for a streaming ingester that means an occasional
 // Append stalls for the duration of a full-tree merge (see the
-// musicstream example's p-max). With AsyncMerge the seal is handed to a
-// single background worker:
+// musicstream example's p-max). The index has one seal routine,
+// processSeal, which never builds under the lock; AsyncMerge only selects
+// the goroutine that runs it:
 //
-//   - Append only appends; on a leaf fill it advances openLo and queues a
-//     sealJob. Backpressure comes from the bounded job channel.
-//   - The worker processes jobs in seal order. For each it decides the
-//     merge cascade from the currently installed forest (identical to the
-//     synchronous decision, since installs are serialized), builds every
-//     graph from a lock-free store snapshot, then installs the blocks
-//     under the write lock.
+//   - Append only appends; on a leaf fill it advances openLo and emits a
+//     sealJob (appendLocked), whichever the mode.
+//   - By default the appender runs processSeal itself before returning, so
+//     the index is quiescent between Appends. With AsyncMerge the job goes
+//     to a single background worker instead, which processes jobs in seal
+//     order; backpressure comes from the bounded job channel.
 //   - Queries brute-force the gap [installedHi, openLo) plus the open
 //     leaf, so results never miss data; they are exact over that gap.
 //
 // The block tree, numbering, seeds — and therefore the resulting index —
-// are bit-identical to the synchronous path.
+// are bit-identical in both modes.
+
+// startMergeWorker launches the background merge worker when AsyncMerge
+// asks for one.
+func (ix *Index) startMergeWorker() {
+	if ix.opts.AsyncMerge {
+		ix.jobs = make(chan sealJob, 16)
+		go ix.mergeWorker()
+	}
+}
 
 // mergeWorker drains the job queue. It exits when Close closes the queue.
 func (ix *Index) mergeWorker() {
@@ -37,82 +37,13 @@ func (ix *Index) mergeWorker() {
 	}
 }
 
-// processSeal performs one seal + bottom-up merge asynchronously.
-func (ix *Index) processSeal(job sealJob) {
-	// Snapshot state under the read lock. The cascade decision only
-	// depends on the installed forest, which no one else mutates (single
-	// worker), so it remains valid at install time.
-	ix.mu.RLock()
-	type pending struct {
-		lo, hi, height int
-	}
-	cascade := []pending{{job.lo, job.hi, 0}}
-	curH := 0
-	for i := len(ix.forest) - 1; i >= 0; i-- {
-		root := ix.blocks[ix.forest[i]]
-		if root.Height != curH {
-			break
-		}
-		curH++
-		cascade = append(cascade, pending{root.Lo, job.hi, curH})
-	}
-	base := len(ix.blocks)
-	snap := ix.store.Snapshot()
-	ix.mu.RUnlock()
-
-	graphs := make([]*graph.CSR, len(cascade))
-	codes := make([]*sq.Codes, len(cascade))
-	build := func(i int) {
-		p := cascade[i]
-		view := vec.View{Store: snap, Lo: p.lo, Hi: p.hi, Metric: ix.opts.Metric}
-		graphs[i] = ix.opts.Builder.Build(view, ix.opts.Seed+int64(base+i))
-		if ix.compressHeight(p.height) {
-			codes[i] = sq.Train(snap, p.lo, p.hi, sq.TrainConfig{})
-		}
-	}
-	if ix.opts.Workers > 1 && len(cascade) > 1 {
-		sem := make(chan struct{}, ix.opts.Workers)
-		var wg sync.WaitGroup
-		for i := range cascade {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				build(i)
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range cascade {
-			build(i)
-		}
-	}
-
-	ix.mu.Lock()
-	for i, p := range cascade {
-		ix.blocks = append(ix.blocks, Block{Lo: p.lo, Hi: p.hi, Height: p.height, Graph: graphs[i], Codes: codes[i]})
-	}
-	merged := len(cascade) - 1
-	ix.forest = ix.forest[:len(ix.forest)-merged]
-	ix.forest = append(ix.forest, base+len(cascade)-1)
-	if invariant.Enabled {
-		invariant.NoError(ix.checkInvariantsLocked(), "mbi: after async block install")
-	}
-	ix.mu.Unlock()
-}
-
-// Flush blocks until every queued seal job has installed its blocks.
-// It is a no-op for synchronous indexes.
-func (ix *Index) Flush() {
-	if ix.opts.AsyncMerge {
-		ix.pending.Wait()
-	}
-}
+// Flush blocks until every sealed leaf has installed its blocks. Without
+// AsyncMerge that already holds whenever no Append is in progress.
+func (ix *Index) Flush() { ix.pending.Wait() }
 
 // Close flushes outstanding merges and stops the background worker.
 // Further Appends fail; searches keep working. Close is idempotent.
-// It is a no-op for synchronous indexes.
+// It is a no-op without AsyncMerge.
 func (ix *Index) Close() error {
 	if !ix.opts.AsyncMerge {
 		return nil
@@ -131,7 +62,8 @@ func (ix *Index) Close() error {
 
 // PendingBuilds reports how many vectors are sealed but not yet covered
 // by installed blocks — the region queries currently brute-force beyond
-// the open leaf. Zero for synchronous indexes.
+// the open leaf. Without AsyncMerge it is non-zero only while an Append is
+// building.
 func (ix *Index) PendingBuilds() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

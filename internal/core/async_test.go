@@ -2,9 +2,15 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
+	"repro/internal/theap"
+	"repro/internal/vec"
 )
 
 func asyncOptions(leafSize int) Options {
@@ -90,6 +96,106 @@ func TestAsyncSearchDuringBacklog(t *testing.T) {
 	if err := ix.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
+}
+
+// gatedBuilder is a graph.Builder that, while armed, parks inside Build
+// until release closes — a seal frozen mid-build for as long as a test
+// needs to look at the index.
+type gatedBuilder struct {
+	graph.Builder
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *gatedBuilder) Build(view vec.View, seed int64) *graph.CSR {
+	if b.armed.Load() {
+		b.entered <- struct{}{}
+		<-b.release
+	}
+	return b.Builder.Build(view, seed)
+}
+
+// TestSearchDuringInlineSeal: without AsyncMerge the appender builds the
+// sealed leaf's blocks itself, but not under the lock — a search issued
+// while that build is stuck must return promptly, with the sealing leaf
+// answered exactly by brute force, and the finished index must equal an
+// async twin's bit for bit.
+func TestSearchDuringInlineSeal(t *testing.T) {
+	const (
+		leaf  = 8
+		n     = 4 * leaf // the last append seals leaf 4 and cascades h0, h1, h2
+		bound = 5 * time.Second
+	)
+	opts := testOptions(leaf)
+	gate := &gatedBuilder{Builder: opts.Builder, entered: make(chan struct{}), release: make(chan struct{})}
+	opts.Builder = gate
+	ix, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(asyncOptions(leaf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	vs := fill(t, twin, 81, n)
+	for i, v := range vs[:n-1] {
+		if err := ix.Append(v, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	gate.armed.Store(true)
+	release := sync.OnceFunc(func() {
+		gate.armed.Store(false)
+		close(gate.release)
+	})
+	defer release() // a failed wait below must not leave the appender parked
+	appended := make(chan error, 1)
+	go func() { appended <- ix.Append(vs[n-1], int64(n-1)) }()
+	select {
+	case <-gate.entered:
+	case <-time.After(bound):
+		t.Fatal("filling the leaf never reached the builder")
+	}
+	// The appender is parked inside Build now, and must hold no lock.
+	type answer struct {
+		got     []theap.Neighbor
+		pending int
+	}
+	q, lo, hi := vs[n-3], int64(n-leaf), int64(n)
+	done := make(chan answer, 1)
+	go func() {
+		got := ix.SearchWith(q, 5, lo, hi, graphParamsExhaustive(), rand.New(rand.NewSource(82)))
+		done <- answer{got, ix.PendingBuilds()}
+	}()
+	var ans answer
+	select {
+	case ans = <-done:
+	case <-time.After(bound):
+		t.Fatal("search waited for the in-flight build")
+	}
+	if ans.pending != leaf {
+		t.Errorf("PendingBuilds during the seal = %d, want %d", ans.pending, leaf)
+	}
+	if exact := bruteForce(ix, q, 5, lo, hi); !reflect.DeepEqual(ans.got, exact) {
+		t.Errorf("over the sealing leaf got %v, want %v", ans.got, exact)
+	}
+
+	release()
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	ix.Flush()
+	twin.Flush()
+	if err := ix.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	if got := ix.PendingBuilds(); got != 0 {
+		t.Errorf("pending builds after the append returned: %d", got)
+	}
+	requireSameBlocks(t, ix, twin)
 }
 
 // TestAsyncConcurrentAppendAndSearch hammers an async index from an

@@ -160,9 +160,10 @@ type Block struct {
 func (b *Block) Len() int { return b.Hi - b.Lo }
 
 // Index is an MBI index. Append is single-writer; Search/SearchWith may be
-// called concurrently with each other. Append takes the write lock for the
-// duration of any block builds it triggers, so searches issued during a
-// merge cascade wait for it to finish.
+// called concurrently with each other and with Append. Block graphs are
+// built outside the lock, so searches issued during a merge cascade do not
+// wait for it: they brute-force the sealed leaves whose blocks have not
+// installed yet, exactly like the open leaf.
 type Index struct {
 	opts Options
 
@@ -182,10 +183,11 @@ type Index struct {
 	//tknn:guardedBy(mu)
 	openLo int
 
-	// Async-merge machinery (nil / unused when !opts.AsyncMerge). Sealed
-	// leaf ranges travel through jobs to a single worker; vectors in
-	// [installedHiLocked(), openLo) are sealed but their blocks are not
-	// installed yet, so queries brute-force them.
+	// Vectors in [installedHiLocked(), openLo) are sealed but their blocks
+	// are not installed yet, so queries brute-force them; pending counts
+	// those leaves' sealJobs until processSeal finishes each. With
+	// opts.AsyncMerge the jobs travel through this channel to a single
+	// worker (nil otherwise: the appender runs them itself).
 	jobs    chan sealJob
 	pending sync.WaitGroup
 	//tknn:guardedBy(mu)
@@ -209,7 +211,7 @@ type Index struct {
 	cache *blockcache.Cache
 }
 
-// sealJob is one filled leaf handed to the async merge worker.
+// sealJob is one filled leaf awaiting processSeal.
 type sealJob struct {
 	lo, hi int
 }
@@ -225,10 +227,7 @@ func New(opts Options) (*Index, error) {
 	}
 	ix.entrySalt, ix.executor = queryState(opts)
 	ix.cache = newBlockCache(opts)
-	if opts.AsyncMerge {
-		ix.jobs = make(chan sealJob, 16)
-		go ix.mergeWorker()
-	}
+	ix.startMergeWorker()
 	return ix, nil
 }
 
@@ -262,49 +261,16 @@ func (ix *Index) Len() int {
 
 // Append inserts a timestamped vector (Algorithm 3). Timestamps must be
 // non-decreasing — the time-accumulating setting of the paper. When the
-// open leaf reaches S_L vectors its graph is built and bottom-up block
-// merging creates every ancestor whose subtree just became complete,
-// building their graphs in parallel when Options.Workers > 1.
+// open leaf reaches S_L vectors it is sealed: its graph is built and
+// bottom-up block merging creates every ancestor whose subtree just became
+// complete (processSeal). Without Options.AsyncMerge that happens before
+// Append returns.
 func (ix *Index) Append(v []float32, t int64) error {
-	// The defer-less unlock shape below is deliberate: the seal job must be
-	// sent on ix.jobs only after mu is released (a full jobs channel would
-	// otherwise deadlock the appender against the worker's install step,
-	// which needs the write lock), so the error paths unlock early instead
-	// of deferring.
-	//lint:ignore lock-discipline unlock-before-channel-send is load-bearing here
 	ix.mu.Lock()
-	if ix.closed {
-		ix.mu.Unlock()
-		return fmt.Errorf("mbi: index is closed")
-	}
-	if n := len(ix.times); n > 0 && t < ix.times[n-1] {
-		last := ix.times[n-1]
-		ix.mu.Unlock()
-		return fmt.Errorf("mbi: timestamp %d precedes last timestamp %d", t, last)
-	}
-	if _, err := ix.store.Append(v); err != nil {
-		ix.mu.Unlock()
-		return err
-	}
-	ix.times = append(ix.times, t)
-
-	var job *sealJob
-	if ix.store.Len()-ix.openLo >= ix.opts.LeafSize {
-		if ix.opts.AsyncMerge {
-			job = &sealJob{lo: ix.openLo, hi: ix.store.Len()}
-			ix.pending.Add(1)
-			ix.openLo = ix.store.Len()
-		} else {
-			ix.sealLeafLocked()
-		}
-	}
+	jobs, err := ix.appendLocked(v, t, nil)
 	ix.mu.Unlock()
-	if job != nil {
-		// Sent outside the lock: a full queue applies backpressure to the
-		// appender without deadlocking the worker's install step.
-		ix.jobs <- *job
-	}
-	return nil
+	ix.dispatch(jobs)
+	return err
 }
 
 // AppendBatch inserts vectors in bulk; ts[i] is the timestamp of vs[i].
@@ -314,112 +280,114 @@ func (ix *Index) AppendBatch(vs [][]float32, ts []int64) error {
 	if len(vs) != len(ts) {
 		return fmt.Errorf("mbi: %d vectors but %d timestamps", len(vs), len(ts))
 	}
-	var jobs []sealJob
-	err := func() error {
-		ix.mu.Lock()
-		defer ix.mu.Unlock()
-		if ix.closed {
-			return fmt.Errorf("mbi: index is closed")
+	var (
+		jobs []sealJob
+		err  error
+	)
+	ix.mu.Lock()
+	for i, v := range vs {
+		if jobs, err = ix.appendLocked(v, ts[i], jobs); err != nil {
+			break
 		}
-		for i, v := range vs {
-			if n := len(ix.times); n > 0 && ts[i] < ix.times[n-1] {
-				return fmt.Errorf("mbi: timestamp %d precedes last timestamp %d", ts[i], ix.times[n-1])
-			}
-			if _, err := ix.store.Append(v); err != nil {
-				return err
-			}
-			ix.times = append(ix.times, ts[i])
-			if ix.store.Len()-ix.openLo >= ix.opts.LeafSize {
-				if ix.opts.AsyncMerge {
-					jobs = append(jobs, sealJob{lo: ix.openLo, hi: ix.store.Len()})
-					ix.pending.Add(1)
-					ix.openLo = ix.store.Len()
-				} else {
-					ix.sealLeafLocked()
-				}
-			}
-		}
-		return nil
-	}()
-	for _, job := range jobs {
-		ix.jobs <- job // queued even on a later validation error: the data is committed
 	}
+	ix.mu.Unlock()
+	ix.dispatch(jobs) // even after a validation error: the vectors before it are committed
 	return err
 }
 
-// sealLeafLocked builds the graph for the just-filled leaf and performs
-// bottom-up block merging (Algorithm 3 lines 4-14). Caller holds mu.
-func (ix *Index) sealLeafLocked() {
-	n := ix.store.Len()
+// appendLocked is the one insert body: validate, append to the open leaf,
+// and when that fills, close it — advance openLo and add the leaf's
+// sealJob to jobs for the caller to dispatch once mu is released. Until
+// the job's blocks install, queries brute-force the sealed range like the
+// open leaf. Caller holds mu.
+func (ix *Index) appendLocked(v []float32, t int64, jobs []sealJob) ([]sealJob, error) {
+	if ix.closed {
+		return jobs, fmt.Errorf("mbi: index is closed")
+	}
+	if n := len(ix.times); n > 0 && t < ix.times[n-1] {
+		return jobs, fmt.Errorf("mbi: timestamp %d precedes last timestamp %d", t, ix.times[n-1])
+	}
+	if _, err := ix.store.Append(v); err != nil {
+		return jobs, err
+	}
+	ix.times = append(ix.times, t)
+	if n := ix.store.Len(); n-ix.openLo >= ix.opts.LeafSize {
+		jobs = append(jobs, sealJob{lo: ix.openLo, hi: n})
+		ix.pending.Add(1)
+		ix.openLo = n
+	}
+	return jobs, nil
+}
 
+// dispatch hands sealed leaves to the seal routine, in seal order. It must
+// be called without mu: processSeal takes the lock itself, and with
+// AsyncMerge a full job queue applies backpressure to the appender, which
+// would deadlock against the worker's install step if mu were held.
+func (ix *Index) dispatch(jobs []sealJob) {
+	if ix.opts.AsyncMerge {
+		for _, job := range jobs {
+			ix.jobs <- job
+		}
+		return
+	}
+	for _, job := range jobs {
+		ix.processSeal(job)
+		ix.pending.Done()
+	}
+	if invariant.Enabled {
+		// The single writer has built everything it sealed, so the index
+		// is quiescent again: no sealed-but-unbuilt gap remains.
+		invariant.Check(ix.PendingBuilds() == 0, "mbi: sealed vectors left unbuilt after an inline seal")
+	}
+}
+
+// processSeal builds the graph for one filled leaf and performs bottom-up
+// block merging (Algorithm 3 lines 4-14). It is the only place blocks are
+// built and installed, and it runs on one goroutine at a time in seal
+// order — the appender's, or the merge worker's with AsyncMerge — holding
+// mu only to read the forest and to install, never while building.
+func (ix *Index) processSeal(job sealJob) {
 	// Determine the full cascade up front: the leaf, then one parent per
 	// trailing forest root of matching height. Knowing every range in
-	// advance is what lets the graphs build in parallel (§4.2).
-	type pending struct {
-		lo, hi, height int
-	}
-	cascade := []pending{{ix.openLo, n, 0}}
-	curH := 0
+	// advance is what lets the graphs build in parallel (§4.2). Only this
+	// routine mutates the forest, so the decision still holds at install
+	// time.
+	ix.mu.RLock()
+	cascade := []Block{{Lo: job.lo, Hi: job.hi}}
 	for i := len(ix.forest) - 1; i >= 0; i-- {
-		root := &ix.blocks[ix.forest[i]]
-		if root.Height != curH {
+		root := ix.blocks[ix.forest[i]]
+		if root.Height != len(cascade)-1 {
 			break
 		}
-		curH++
-		cascade = append(cascade, pending{root.Lo, n, curH})
+		cascade = append(cascade, Block{Lo: root.Lo, Hi: job.hi, Height: len(cascade)})
 	}
-
-	// Build all graphs (and train any block codecs), in parallel when
-	// configured. Block i (by creation order) gets seed Seed + i for
-	// reproducibility.
 	base := len(ix.blocks)
-	graphs := make([]*graph.CSR, len(cascade))
-	codes := make([]*sq.Codes, len(cascade))
-	// The build closures run on worker goroutines inside this write-lock
-	// critical section; hand them the store snapshot rather than reaching
-	// back through ix from an unlocked context.
-	store := ix.store
-	build := func(i int) {
-		p := cascade[i]
-		view := vec.View{Store: store, Lo: p.lo, Hi: p.hi, Metric: ix.opts.Metric}
-		graphs[i] = ix.opts.Builder.Build(view, ix.opts.Seed+int64(base+i))
-		if ix.compressHeight(p.height) {
-			codes[i] = sq.Train(store, p.lo, p.hi, sq.TrainConfig{})
+	snap := ix.store.Snapshot()
+	ix.mu.RUnlock()
+
+	// Build all graphs (and train any block codecs) from the snapshot,
+	// unlocked: appends and queries proceed. Block i (by creation order)
+	// gets seed Seed + i for reproducibility. fn never fails and the
+	// context is never done, so ForEach has no error to report.
+	_ = exec.ForEach(context.Background(), ix.opts.Workers, len(cascade), func(i int) error {
+		b := &cascade[i]
+		view := vec.View{Store: snap, Lo: b.Lo, Hi: b.Hi, Metric: ix.opts.Metric}
+		b.Graph = ix.opts.Builder.Build(view, ix.opts.Seed+int64(base+i))
+		if ix.compressHeight(b.Height) {
+			b.Codes = sq.Train(snap, b.Lo, b.Hi, sq.TrainConfig{})
 		}
-	}
-	if ix.opts.Workers > 1 && len(cascade) > 1 {
-		sem := make(chan struct{}, ix.opts.Workers)
-		var wg sync.WaitGroup
-		for i := range cascade {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				build(i)
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range cascade {
-			build(i)
-		}
-	}
+		return nil
+	})
 
 	// Install in creation order: leaf first, then ancestors by height —
-	// exactly the postorder numbering Algorithm 3 prescribes.
-	for i, p := range cascade {
-		ix.blocks = append(ix.blocks, Block{Lo: p.lo, Hi: p.hi, Height: p.height, Graph: graphs[i], Codes: codes[i]})
-	}
-	// Update the forest: the cascade's topmost block replaces the roots it
-	// merged.
-	merged := len(cascade) - 1
-	ix.forest = ix.forest[:len(ix.forest)-merged]
-	ix.forest = append(ix.forest, base+len(cascade)-1)
-	ix.openLo = n
-
+	// exactly the postorder numbering Algorithm 3 prescribes. The
+	// cascade's topmost block replaces the forest roots it merged.
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.blocks = append(ix.blocks, cascade...)
+	ix.forest = append(ix.forest[:len(ix.forest)-(len(cascade)-1)], len(ix.blocks)-1)
 	if invariant.Enabled {
-		invariant.NoError(ix.checkInvariantsLocked(), "mbi: after synchronous seal cascade")
+		invariant.NoError(ix.checkInvariantsLocked(), "mbi: after block install")
 	}
 }
 
@@ -449,7 +417,7 @@ func (ix *Index) blockWindowLocked(lo, hi int) (int64, int64) {
 
 // selection is one block chosen by top-down block selection; openLeaf
 // marks the pseudo-range of vectors without an installed graph (the open
-// leaf, plus any async-sealed ranges whose builds are in flight), which is
+// leaf, plus any sealed leaves whose builds are in flight), which is
 // handled by brute force (Algorithm 4 lines 5-6).
 type selection struct {
 	lo, hi   int
@@ -464,8 +432,8 @@ type selection struct {
 }
 
 // installedHiLocked returns the end of the region covered by installed
-// blocks. Synchronous indexes keep this equal to openLo; with AsyncMerge
-// it can trail openLo while builds are in flight. Caller holds mu.
+// blocks. It trails openLo by whole leaves while their builds are in
+// flight and equals it whenever the index is quiescent. Caller holds mu.
 func (ix *Index) installedHiLocked() int {
 	if len(ix.forest) == 0 {
 		return 0
@@ -475,7 +443,7 @@ func (ix *Index) installedHiLocked() int {
 
 // selectBlocksLocked runs top-down block selection (Algorithm 4,
 // BlockSelection) over the forest of complete subtrees plus the
-// brute-force tail (open leaf and pending async builds), appending to out
+// brute-force tail (open leaf and pending builds), appending to out
 // (pass a scratch-backed slice to select without allocating, or nil for a
 // fresh one). Caller holds mu.
 func (ix *Index) selectBlocksLocked(ts, te int64, tau float64, out []selection) []selection {

@@ -203,6 +203,7 @@ func TestAppendBatchEquivalence(t *testing.T) {
 	if sa.NumBlocks != sb.NumBlocks || sa.OpenLeafFill != sb.OpenLeafFill || sa.GraphEdges != sb.GraphEdges {
 		t.Errorf("batch and loop insert diverge: %+v vs %+v", sa, sb)
 	}
+	requireSameBlocks(t, a, b) // 37 vectors at S_L = 4: the one batch seals nine leaves in order
 	if err := b.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
@@ -472,23 +473,7 @@ func TestParallelBuildEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ba, bb := a.Blocks(), b.Blocks()
-	if len(ba) != len(bb) {
-		t.Fatalf("block counts differ: %d vs %d", len(ba), len(bb))
-	}
-	for i := range ba {
-		if ba[i].Lo != bb[i].Lo || ba[i].Hi != bb[i].Hi || ba[i].Height != bb[i].Height {
-			t.Fatalf("block %d metadata differs", i)
-		}
-		if ba[i].Graph.NumEdges() != bb[i].Graph.NumEdges() {
-			t.Fatalf("block %d edge counts differ", i)
-		}
-		for j := range ba[i].Graph.Adj {
-			if ba[i].Graph.Adj[j] != bb[i].Graph.Adj[j] {
-				t.Fatalf("block %d adjacency differs at %d", i, j)
-			}
-		}
-	}
+	requireSameBlocks(t, a, b)
 	if err := b.CheckInvariants(); err != nil {
 		t.Error(err)
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"reflect"
+	"testing"
+
 	"repro/internal/bsbf"
 	"repro/internal/graph"
 	"repro/internal/theap"
@@ -18,4 +21,21 @@ func bruteForce(ix *Index, q []float32, k int, ts, te int64) []theap.Neighbor {
 	defer ix.mu.RUnlock()
 	lo, hi := bsbf.WindowOf(ix.times, ts, te)
 	return bsbf.ScanRange(ix.store, ix.opts.Metric, q, k, lo, hi)
+}
+
+// requireSameBlocks fails unless a and b hold bit-identical block lists:
+// same ranges and heights in the same creation order, same graphs, same
+// codes.
+func requireSameBlocks(t testing.TB, a, b *Index) {
+	t.Helper()
+	ba, bb := a.Blocks(), b.Blocks()
+	if len(ba) != len(bb) {
+		t.Fatalf("block counts differ: %d vs %d", len(ba), len(bb))
+	}
+	for i := range ba {
+		if !reflect.DeepEqual(ba[i], bb[i]) {
+			t.Fatalf("block %d [%d,%d) h%d differs from [%d,%d) h%d or its payload",
+				i, ba[i].Lo, ba[i].Hi, ba[i].Height, bb[i].Lo, bb[i].Hi, bb[i].Height)
+		}
+	}
 }

@@ -83,7 +83,8 @@ func (ix *Index) Stats() Stats {
 //  3. Every sealed block covers exactly S_L * 2^height vectors and carries
 //     a structurally valid graph with one node per vector.
 //  4. The forest roots have strictly decreasing heights and tile
-//     [0, openLo) contiguously from the left.
+//     [0, openLo) contiguously from the left, short of openLo only by
+//     whole sealed leaves whose builds are in flight.
 //  5. The open leaf holds fewer than S_L vectors.
 func (ix *Index) CheckInvariants() error {
 	ix.mu.RLock()
@@ -92,8 +93,9 @@ func (ix *Index) CheckInvariants() error {
 }
 
 // checkInvariantsLocked is CheckInvariants for callers already holding mu
-// (read or write) — sealLeafLocked and the async install step run it under
-// the invariant gate while still inside their write-lock critical section.
+// (read or write) — processSeal's install step and the spill release run it
+// under the invariant gate while still inside their write-lock critical
+// section.
 func (ix *Index) checkInvariantsLocked() error {
 	n := ix.store.Len()
 	if len(ix.times) != n {
@@ -174,17 +176,13 @@ func (ix *Index) checkInvariantsLocked() error {
 		}
 		cursor = b.Hi
 	}
-	if ix.opts.AsyncMerge {
-		// Builds may trail: the gap [cursor, openLo) is sealed data whose
-		// blocks are still in flight, and must be leaf-aligned.
-		if cursor > ix.openLo {
-			return fmt.Errorf("mbi: forest covers [0,%d) past open leaf at %d", cursor, ix.openLo)
-		}
-		if gap := ix.openLo - cursor; gap%ix.opts.LeafSize != 0 {
-			return fmt.Errorf("mbi: pending region [%d,%d) is not whole leaves", cursor, ix.openLo)
-		}
-	} else if cursor != ix.openLo {
-		return fmt.Errorf("mbi: forest covers [0,%d) but open leaf starts at %d", cursor, ix.openLo)
+	// Builds may trail: the gap [cursor, openLo) is sealed data whose
+	// blocks are still in flight, and must be leaf-aligned.
+	if cursor > ix.openLo {
+		return fmt.Errorf("mbi: forest covers [0,%d) past open leaf at %d", cursor, ix.openLo)
+	}
+	if gap := ix.openLo - cursor; gap%ix.opts.LeafSize != 0 {
+		return fmt.Errorf("mbi: pending region [%d,%d) is not whole leaves", cursor, ix.openLo)
 	}
 	if fill := n - ix.openLo; fill < 0 || fill >= ix.opts.LeafSize {
 		return fmt.Errorf("mbi: open leaf holds %d vectors with S_L = %d", fill, ix.opts.LeafSize)
@@ -274,9 +272,6 @@ func Restore(opts Options, store *vec.Store, times []int64, blocks []Block, fore
 	if got := ix.installedHiLocked(); got != openLo {
 		return nil, fmt.Errorf("mbi: restored blocks cover [0,%d) but open leaf starts at %d", got, openLo)
 	}
-	if opts.AsyncMerge {
-		ix.jobs = make(chan sealJob, 16)
-		go ix.mergeWorker()
-	}
+	ix.startMergeWorker()
 	return ix, nil
 }

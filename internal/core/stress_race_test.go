@@ -9,17 +9,19 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
-
-	"repro/internal/graph"
 )
 
 // stressSearchers starts n goroutines that hammer SearchWith, Stats, Len,
 // and the selection planner over random windows until stop closes, checking
-// window containment on every result. Returns a channel carrying one error
-// (or nil) per goroutine.
+// window containment and completeness on every result: timestamps are
+// insertion indices and block graphs are connected, so an exhaustive walk
+// must return min(k, window length) neighbors whether the window's vectors
+// sit in installed blocks, in leaves whose seal is in flight, or in the
+// open leaf. Returns a channel carrying one error (or nil) per goroutine.
 func stressSearchers(ix *Index, n int, stop <-chan struct{}) chan error {
 	errs := make(chan error, n)
 	dim := ix.Options().Dim
@@ -43,12 +45,16 @@ func stressSearchers(ix *Index, n int, stop <-chan struct{}) chan error {
 				}
 				a := rng.Int63n(hi - 1)
 				b := a + 1 + rng.Int63n(hi-a)
-				res := ix.SearchWith(q, 5, a, b, graph.SearchParams{MC: 16, Eps: 1.2}, rng)
+				res := ix.SearchWith(q, 5, a, b, graphParamsExhaustive(), rng)
 				for _, r := range res {
 					if int64(r.ID) < a || int64(r.ID) >= b {
 						errs <- errOutOfWindow
 						return
 					}
+				}
+				if want := min(5, int(b-a)); len(res) != want {
+					errs <- fmt.Errorf("window [%d,%d): %d results, want %d", a, b, len(res), want)
+					return
 				}
 				// Exercise the read-side planners and stats under the same
 				// contention; their results are checked by other tests.
@@ -78,9 +84,10 @@ func stressAppend(t *testing.T, ix *Index, seed int64, total int) {
 	}
 }
 
-// TestStressSyncAppendSearchSeal hammers a synchronous index: one appender
+// TestStressSyncAppendSearchSeal hammers a default-mode index: one appender
 // sealing and merging inline (leaf size 4 forces a cascade roughly every
-// fourth insert) against a pack of searchers.
+// fourth insert) against a pack of searchers, which run while the
+// appender's builds are in flight and must never come up short.
 func TestStressSyncAppendSearchSeal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
@@ -178,6 +185,31 @@ func TestStressAsyncCloseUnderSearch(t *testing.T) {
 	}
 }
 
+// stressAppendBatch is stressAppend through AppendBatch, batch vectors per
+// call, returning everything it inserted.
+func stressAppendBatch(t *testing.T, ix *Index, seed int64, total, batch int) [][]float32 {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	all := make([][]float32, 0, total)
+	for lo := 0; lo < total; lo += batch {
+		vs := make([][]float32, batch)
+		ts := make([]int64, batch)
+		for i := range vs {
+			v := make([]float32, ix.Options().Dim)
+			for j := range v {
+				v[j] = float32(rng.NormFloat64())
+			}
+			vs[i] = v
+			ts[i] = int64(lo + i)
+		}
+		if err := ix.AppendBatch(vs, ts); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, vs...)
+	}
+	return all
+}
+
 // TestStressBatchIngest drives AppendBatch (the server's ingestion path)
 // under the detector: batched appends racing searchers.
 func TestStressBatchIngest(t *testing.T) {
@@ -191,23 +223,7 @@ func TestStressBatchIngest(t *testing.T) {
 	defer ix.Close()
 	stop := make(chan struct{})
 	errs := stressSearchers(ix, 4, stop)
-	rng := rand.New(rand.NewSource(109))
-	const batch = 16
-	for lo := 0; lo < 800; lo += batch {
-		vs := make([][]float32, batch)
-		ts := make([]int64, batch)
-		for i := range vs {
-			v := make([]float32, 8)
-			for j := range v {
-				v[j] = float32(rng.NormFloat64())
-			}
-			vs[i] = v
-			ts[i] = int64(lo + i)
-		}
-		if err := ix.AppendBatch(vs, ts); err != nil {
-			t.Fatal(err)
-		}
-	}
+	stressAppendBatch(t, ix, 109, 800, 16)
 	ix.Flush()
 	close(stop)
 	for g := 0; g < 4; g++ {
@@ -221,4 +237,45 @@ func TestStressBatchIngest(t *testing.T) {
 	if err := ix.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestStressSyncBatchSpansLeaves: default-mode batches of 3¼ leaves each,
+// so one AppendBatch closes several leaves under the lock and then seals
+// them, in order, after releasing it — while searchers see the whole
+// multi-leaf gap. The result must equal per-vector Append exactly.
+func TestStressSyncBatchSpansLeaves(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stress test skipped in -short mode")
+	}
+	opts := testOptions(8)
+	opts.Workers = 2
+	ix, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	errs := stressSearchers(ix, 4, stop)
+	vs := stressAppendBatch(t, ix, 113, 780, 26)
+	close(stop)
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	if got := ix.PendingBuilds(); got != 0 {
+		t.Errorf("pending builds after the last batch returned: %d", got)
+	}
+	twin, err := New(testOptions(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vs {
+		if err := twin.Append(v, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireSameBlocks(t, ix, twin)
 }

@@ -98,7 +98,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP tknn_blocks_total Sealed MBI blocks.\n")
 	fmt.Fprintf(w, "# TYPE tknn_blocks_total gauge\n")
 	fmt.Fprintf(w, "tknn_blocks_total %d\n", s.ix.BlockCount())
-	fmt.Fprintf(w, "# HELP tknn_pending_build_vectors Vectors awaiting async block builds.\n")
+	fmt.Fprintf(w, "# HELP tknn_pending_build_vectors Vectors in filled leaves whose block builds are in flight (searches brute-force them).\n")
 	fmt.Fprintf(w, "# TYPE tknn_pending_build_vectors gauge\n")
 	fmt.Fprintf(w, "tknn_pending_build_vectors %d\n", s.ix.PendingBuilds())
 	fmt.Fprintf(w, "# HELP tknn_inserts_total Vectors inserted since start.\n")

@@ -94,8 +94,8 @@ func (s *Store) Raw() []float32 { return s.data }
 // stays valid while the original keeps growing: the returned store shares
 // the backing array but has a fixed length, and appends to the original
 // either write past that length or reallocate — either way they never
-// touch the snapshot's [0, Len) range. Used by MBI's asynchronous merge
-// worker to build block graphs without holding the index lock.
+// touch the snapshot's [0, Len) range. Used by MBI's seal routine to
+// build block graphs without holding the index lock.
 func (s *Store) Snapshot() *Store {
 	n := s.Len()
 	return &Store{

@@ -102,10 +102,12 @@ type MBIOptions struct {
 	// selected blocks in parallel. Zero defaults to GOMAXPROCS; one runs
 	// each query sequentially on its calling goroutine.
 	QueryWorkers int
-	// AsyncMerge builds block graphs on a background worker so Add never
-	// blocks on graph construction; vectors whose blocks are still
-	// building are answered exactly by brute force. Call Flush to wait
-	// for the builder and Close when done with the index.
+	// AsyncMerge moves block-graph building from the Add that fills a
+	// leaf to a background worker, so Add never waits on graph
+	// construction. Either way searches never wait on it: vectors whose
+	// blocks are still building are answered exactly by brute force.
+	// Call Flush to wait for the builder and Close when done with the
+	// index.
 	AsyncMerge bool
 	// Seed makes index construction reproducible. Default 1.
 	Seed int64
@@ -289,9 +291,11 @@ func (m *MBI) Options() MBIOptions { return m.opts }
 
 // Add implements Index. When an Add fills a leaf block, it additionally
 // builds the graph indexes for the leaf and any newly completed ancestor
-// blocks before returning, so individual Add calls occasionally take much
-// longer than the average — the amortized cost is O(n^0.14 log n) per
-// vector (§4.4.2).
+// blocks before returning (unless AsyncMerge hands that to the background
+// worker), so individual Add calls occasionally take much longer than the
+// average — the amortized cost is O(n^0.14 log n) per vector (§4.4.2).
+// Concurrent searches do not wait for the build; they brute-force the
+// filled leaf until its blocks install.
 func (m *MBI) Add(v []float32, t int64) error {
 	if len(v) != m.opts.Dim {
 		return fmt.Errorf("%w: got %d, index has %d", ErrDimension, len(v), m.opts.Dim)
@@ -396,8 +400,8 @@ func (m *MBI) BlockCount() int { return m.inner.Stats().NumBlocks }
 // TreeHeight returns the height of the tallest complete subtree.
 func (m *MBI) TreeHeight() int { return m.inner.Stats().TreeHeight }
 
-// Flush waits until every block build queued by AsyncMerge has
-// installed. A no-op without AsyncMerge.
+// Flush waits until every filled leaf has its blocks built and installed.
+// Without AsyncMerge that already holds whenever no Add is in progress.
 func (m *MBI) Flush() { m.inner.Flush() }
 
 // Close flushes outstanding asynchronous builds and stops the background
@@ -406,7 +410,8 @@ func (m *MBI) Flush() { m.inner.Flush() }
 func (m *MBI) Close() error { return m.inner.Close() }
 
 // PendingBuilds reports how many vectors are sealed but not yet covered
-// by built blocks (always 0 without AsyncMerge).
+// by built blocks. Without AsyncMerge it is non-zero only while an Add is
+// building.
 func (m *MBI) PendingBuilds() int { return m.inner.PendingBuilds() }
 
 // Explain reports which blocks a query window would search, without
