@@ -8,7 +8,7 @@ GO ?= go
 # so it runs here and nowhere else.
 RACE_PKGS = ./internal/core/ ./internal/exec/ ./internal/server/ ./internal/client/ ./internal/nndescent/ ./internal/wal/ ./internal/graph/ ./internal/theap/ ./internal/sq/ ./internal/fault/ ./internal/blockcache/
 
-.PHONY: check fmt vet build test race lint lockgraph lockgraph-check invariants faults recover bench-exec bench-allocs bench-sq bench-tier bench-chaos allocs-gate
+.PHONY: check fmt vet build test race lint lockgraph lockgraph-check invariants faults recover bench-exec bench-sq bench-tier bench-chaos allocs-gate loc
 
 check: fmt vet build test race lint lockgraph-check invariants faults recover
 
@@ -72,11 +72,6 @@ recover:
 bench-exec:
 	$(GO) run ./cmd/mbibench exec
 
-# Query-path heap traffic: pooled vs caller-owned-scratch entry points on
-# MBI and BSBF. Writes BENCH_allocs.json.
-bench-allocs:
-	$(GO) run ./cmd/mbibench allocs
-
 # SQ8 compression benchmark: bytes/vector and memory reduction,
 # compressed scan throughput, ns/distance for the asymmetric kernel, and
 # recall@10 vs the flat index at rerank factors 1/2/4 on the
@@ -100,9 +95,16 @@ bench-tier:
 bench-chaos:
 	$(GO) run -tags tknn_fault ./cmd/mbibench chaos
 
-# Allocation gate: a warmed-up sequential query on the Buf entry points
-# must perform zero heap allocations (testing.AllocsPerRun). CI runs this
-# alongside the full suite; the tests skip themselves under -race and
-# -tags tknn_invariants, where the runtime itself allocates.
+# Allocation gate: a warmed-up sequential Query (the one search body of
+# core and bsbf) must perform zero heap allocations
+# (testing.AllocsPerRun). CI runs this alongside the full suite; the tests
+# skip themselves under -race and -tags tknn_invariants, where the runtime
+# itself allocates.
 allocs-gate:
 	$(GO) test -run ZeroAllocs -count=1 ./internal/core/ ./internal/bsbf/
+
+# Code-only non-test Go line count: the yardstick the ROADMAP's design-
+# quality slices (direction E) report against. Blank and comment-only lines,
+# tests, the lint corpus and the benchmark harness are not counted.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './cmd/tknnlint/testdata/*' -not -path './benchmark/*' | xargs cat | grep -cv '^\s*\(//.*\)\?$$'

@@ -1,6 +1,9 @@
 package tknn_test
 
 import (
+	"context"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -68,7 +71,9 @@ func TestMBIExplainPublicAPI(t *testing.T) {
 }
 
 func TestAutoTuneTau(t *testing.T) {
-	ix, err := tknn.NewMBI(tknn.MBIOptions{Dim: 8, LeafSize: 32, GraphDegree: 8, Epsilon: 1.4})
+	// Tau 0.4 is off the tuner's grid, so a plan that reports it was not
+	// planned from the tuned table.
+	ix, err := tknn.NewMBI(tknn.MBIOptions{Dim: 8, LeafSize: 32, GraphDegree: 8, Epsilon: 1.4, Tau: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +106,26 @@ func TestAutoTuneTau(t *testing.T) {
 	}
 	if len(res) != 1 || res[0].ID != 123 {
 		t.Errorf("post-tune self-query = %v", res)
+	}
+
+	// SearchExplain explains the query Search runs: same τ source, so the
+	// same answer, and the plan reports the table's τ for the window's
+	// coverage (60 of 300 vectors).
+	q := tknn.Query{Vector: vs[140], K: 5, Start: 100, End: 160}
+	want, err := ix.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, plan, err := ix.SearchExplain(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("SearchExplain results %v differ from Search's %v", got, want)
+	}
+	bucket := sort.SearchFloat64s(fracs, 60.0/300.0)
+	if !plan.Executed || plan.Tau != taus[bucket] {
+		t.Errorf("executed=%v plan.Tau = %g, want the tuned %g (table %v over %v)", plan.Executed, plan.Tau, taus[bucket], taus, fracs)
 	}
 }
 

@@ -7,10 +7,12 @@ import (
 	"sync"
 
 	"repro/internal/bsbf"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/persist"
 	"repro/internal/sf"
+	"repro/internal/theap"
 )
 
 // BSBF is the Binary-Search-and-Brute-Force baseline (Algorithm 1).
@@ -105,23 +107,11 @@ func (b *BSBF) SearchContext(ctx context.Context, q Query) ([]Result, error) {
 
 // SearchDetailed is SearchContext plus stage timings and the Partial flag.
 func (b *BSBF) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInfo, error) {
-	if err := validateQuery(q, b.dim); err != nil {
-		return nil, SearchInfo{}, err
-	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	ns, eo := b.inner.SearchContext(ctx, q.Vector, q.K, q.Start, q.End, b.x)
-	out := make([]Result, len(ns))
-	for i, n := range ns {
-		out[i] = Result{ID: int(n.ID), Dist: n.Dist}
-	}
-	// The bsbf package does not expose timestamps individually; recover
-	// them through the window bounds: IDs are insertion indices.
-	times := timesOfBSBF(b.inner)
-	for i := range out {
-		out[i].Time = times[out[i].ID]
-	}
-	return out, infoFrom(eo), nil
+	return searchDetailed(q, b.dim, b.inner.TimesRef, func(scr *core.Scratch) ([]theap.Neighbor, exec.Outcome) {
+		return b.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, b.x)
+	})
 }
 
 // SearchBatchContext fans queries across workers goroutines with the same
@@ -130,9 +120,6 @@ func (b *BSBF) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInf
 func (b *BSBF) SearchBatchContext(ctx context.Context, queries []Query, workers int) ([][]Result, error) {
 	return searchBatchCtx(ctx, queries, workers, b.SearchContext)
 }
-
-// timesOfBSBF recovers the timestamp slice; split out for testability.
-func timesOfBSBF(ix *bsbf.Index) []int64 { return ix.TimesRef() }
 
 // Len implements Index.
 func (b *BSBF) Len() int {
@@ -287,19 +274,17 @@ func (s *SF) SearchContext(ctx context.Context, q Query) ([]Result, error) {
 
 // SearchDetailed is SearchContext plus stage timings and the Partial flag.
 func (s *SF) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInfo, error) {
-	if err := validateQuery(q, s.opts.Dim); err != nil {
-		return nil, SearchInfo{}, err
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var entry int32
-	if built := s.inner.Built(); built > 0 && s.inner.Graph() != nil {
-		ent := exec.NewEntropy(int64(exec.QueryHash(s.entrySalt, q.Vector)))
-		entry = int32(ent.Intn(built))
-	}
-	p := graph.SearchParams{MC: s.opts.MaxCandidates, Eps: float32(s.opts.Epsilon)}
-	ns, eo := s.inner.SearchContext(ctx, q.Vector, q.K, q.Start, q.End, p, entry, s.x)
-	return toResults(ns, s.inner.Times()), infoFrom(eo), nil
+	return searchDetailed(q, s.opts.Dim, s.inner.Times, func(scr *core.Scratch) ([]theap.Neighbor, exec.Outcome) {
+		var entry int32
+		if built := s.inner.Built(); built > 0 && s.inner.Graph() != nil {
+			ent := exec.NewEntropy(int64(exec.QueryHash(s.entrySalt, q.Vector)))
+			entry = int32(ent.Intn(built))
+		}
+		p := graph.SearchParams{MC: s.opts.MaxCandidates, Eps: float32(s.opts.Epsilon)}
+		return s.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, p, entry, s.x)
+	})
 }
 
 // SearchBatchContext fans queries across workers goroutines with the same

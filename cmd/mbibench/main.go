@@ -22,8 +22,6 @@
 //	wal       ingestion throughput: no WAL vs fsync=interval vs fsync=always
 //	exec      intra-query executor: sequential vs parallel at 1/4/16
 //	          selected blocks (writes BENCH_exec.json; see -out)
-//	allocs    query-path heap traffic: pooled vs caller-owned-scratch
-//	          entry points on MBI and BSBF (writes BENCH_allocs.json)
 //	sq        SQ8 compression: bytes/vector, asymmetric-kernel scan
 //	          throughput, recall vs flat at rerank factors 1/2/4 on
 //	          drifting clusters (writes BENCH_sq.json)
@@ -45,8 +43,8 @@
 //	-workers n   goroutines for ground truth / parallel builds (default NumCPU)
 //	-profiles s  comma-separated profile subset for fig5/fig9/table4
 //	-quick       preset: -scale 0.12 with a reduced sweep
-//	-out path    JSON report path for the exec and allocs experiments
-//	             (default BENCH_exec.json / BENCH_allocs.json per experiment)
+//	-out path    JSON report path for the report-writing experiments
+//	             (default BENCH_<experiment>.json)
 package main
 
 import (
@@ -75,7 +73,7 @@ func run(args []string) error {
 	workers := fs.Int("workers", runtime.NumCPU(), "worker goroutines")
 	profileList := fs.String("profiles", "", "comma-separated profile subset (default: all)")
 	quick := fs.Bool("quick", false, "fast preset (scale 0.12, coarse sweep)")
-	out := fs.String("out", "", "JSON report path (default per experiment: BENCH_exec.json, BENCH_allocs.json)")
+	out := fs.String("out", "", "JSON report path (default per experiment: BENCH_<experiment>.json)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -146,10 +144,6 @@ func run(args []string) error {
 		if _, err := bench.ExecExperiment(cfg, w, outPath("BENCH_exec.json")); err != nil {
 			return err
 		}
-	case "allocs":
-		if _, err := bench.AllocsExperiment(cfg, w, outPath("BENCH_allocs.json")); err != nil {
-			return err
-		}
 	case "sq":
 		if _, err := bench.SQExperiment(cfg, w, outPath("BENCH_sq.json")); err != nil {
 			return err
@@ -181,9 +175,6 @@ func run(args []string) error {
 		bench.AsyncMergeExperiment(cfg, w)
 		bench.WALExperiment(cfg, w)
 		if _, err := bench.ExecExperiment(cfg, w, outPath("BENCH_exec.json")); err != nil {
-			return err
-		}
-		if _, err := bench.AllocsExperiment(cfg, w, outPath("BENCH_allocs.json")); err != nil {
 			return err
 		}
 		if _, err := bench.SQExperiment(cfg, w, outPath("BENCH_sq.json")); err != nil {

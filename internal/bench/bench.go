@@ -12,9 +12,11 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/bsbf"
@@ -191,6 +193,7 @@ type mbiMethod struct {
 	tau     float64
 	workers int
 	ix      *core.Index
+	scr     *core.Scratch // Query's per-method scratch, set by Build
 	builder graph.Builder
 }
 
@@ -245,7 +248,7 @@ func (m *MBIMethod) Build(d *dataset.Data) time.Duration {
 		}
 	}
 	elapsed := time.Since(start)
-	m.ix = ix
+	m.ix, m.scr = ix, core.NewScratch()
 	return elapsed
 }
 
@@ -253,7 +256,15 @@ func (m *MBIMethod) Build(d *dataset.Data) time.Duration {
 // query-time parameter, so Figure 9 sweeps it on one built index).
 func (m *MBIMethod) Query(q dataset.Query, eps float64, rng *rand.Rand) []theap.Neighbor {
 	p := graph.SearchParams{MC: effMC(m.profile.MC, q.K), Eps: float32(eps)}
-	return m.ix.SearchTau(q.W, q.K, q.Ts, q.Te, m.tau, p, rng)
+	return mbiQuery(m.ix, m.scr, core.Request{Q: q.W, K: q.K, Ts: q.Ts, Te: q.Te, Tau: m.tau, Params: p, Rng: rng})
+}
+
+// mbiQuery answers req on scr and returns a copy of the neighbors: the
+// experiments keep every answer to score recall, and scr's next query
+// would overwrite an aliased one.
+func mbiQuery(ix *core.Index, scr *core.Scratch, req core.Request) []theap.Neighbor {
+	res, _ := ix.Query(context.Background(), scr, req)
+	return slices.Clone(res)
 }
 
 // Index exposes the built MBI index (for size measurement and τ sweeps).

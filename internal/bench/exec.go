@@ -188,17 +188,18 @@ func findExecWindow(ix *core.Index, leaves, sl, target int) (ts, te int64, ok bo
 // guard against scheduler noise.
 func measureExecPoint(ix *core.Index, queries [][]float32, ts, te int64, sp graph.SearchParams, parWorkers int) ExecPoint {
 	const repeats = 3
+	scr := core.NewScratch()
 	run := func(workers int) ([][]theap.Neighbor, float64) {
 		ix.SetQueryWorkers(workers)
 		res := make([][]theap.Neighbor, len(queries))
 		for i, q := range queries { // warmup, also the equivalence answer set
-			res[i], _ = ix.SearchTauContext(context.Background(), q, execK, ts, te, execTau, sp, nil)
+			res[i] = mbiQuery(ix, scr, core.Request{Q: q, K: execK, Ts: ts, Te: te, Tau: execTau, Params: sp})
 		}
 		best := time.Duration(1<<63 - 1)
 		for r := 0; r < repeats; r++ {
 			start := time.Now()
 			for _, q := range queries {
-				_, _ = ix.SearchTauContext(context.Background(), q, execK, ts, te, execTau, sp, nil)
+				ix.Query(context.Background(), scr, core.Request{Q: q, K: execK, Ts: ts, Te: te, Tau: execTau, Params: sp})
 			}
 			if el := time.Since(start); el < best {
 				best = el
@@ -225,7 +226,7 @@ func measureExecPoint(ix *core.Index, queries [][]float32, ts, te int64, sp grap
 	var critSum, idealSum float64
 	var plan core.Plan
 	for _, q := range queries {
-		_, plan = ix.SearchExplainContext(context.Background(), q, execK, ts, te, execTau, sp, nil)
+		ix.Query(context.Background(), scr, core.Request{Q: q, K: execK, Ts: ts, Te: te, Tau: execTau, Params: sp, Explain: &plan})
 		var sum, max time.Duration
 		for _, b := range plan.Blocks {
 			sum += b.Duration

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -110,11 +111,12 @@ func measureIncrementalQPS(c Config, ix *core.Index, d *dataset.Data, k, inserte
 	}
 	p := graph.SearchParams{MC: d.Profile.MC, Eps: 1.2}
 	times := d.Times[:inserted]
+	scr := core.NewScratch()
 	start := time.Now()
 	for i := 0; i < nq; i++ {
 		f := 0.05 + 0.9*rng.Float64()
 		ts, te := dataset.WindowForFraction(rng, times, f)
-		ix.SearchWith(d.Test[i], k, ts, te, p, rng)
+		ix.Query(context.Background(), scr, core.Request{Q: d.Test[i], K: k, Ts: ts, Te: te, Params: p, Rng: rng})
 	}
 	return float64(nq) / time.Since(start).Seconds()
 }

@@ -187,9 +187,10 @@ func SQExperiment(c Config, w io.Writer, jsonPath string) (SQReport, error) {
 	run := func(ix *core.Index) ([][]theap.Neighbor, time.Duration) {
 		qrng := rand.New(rand.NewSource(c.Seed + 3))
 		answers := make([][]theap.Neighbor, len(qs))
+		scr := core.NewScratch()
 		start := time.Now()
 		for i, q := range qs {
-			answers[i] = ix.SearchTau(q.W, q.K, q.Ts, q.Te, p.Tau, sp, qrng)
+			answers[i] = mbiQuery(ix, scr, core.Request{Q: q.W, K: q.K, Ts: q.Ts, Te: q.Te, Tau: p.Tau, Params: sp, Rng: qrng})
 		}
 		return answers, time.Since(start)
 	}

@@ -170,9 +170,10 @@ func TierExperiment(c Config, w io.Writer, jsonPath string) (TierReport, error) 
 		lats := make([]time.Duration, len(qs))
 		var traj []float64
 		quarter := (len(qs) + 3) / 4
+		scr := core.NewScratch()
 		for i, q := range qs {
 			start := time.Now()
-			answers[i] = ix.SearchTau(q.W, q.K, q.Ts, q.Te, p.Tau, sp, qrng)
+			answers[i] = mbiQuery(ix, scr, core.Request{Q: q.W, K: q.K, Ts: q.Ts, Te: q.Te, Tau: p.Tau, Params: sp, Rng: qrng})
 			lats[i] = time.Since(start)
 			if (i+1)%quarter == 0 || i == len(qs)-1 {
 				if st, ok := ix.CacheStats(); ok && st.Hits+st.Misses > 0 {

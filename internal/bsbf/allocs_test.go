@@ -14,16 +14,16 @@ import (
 	"repro/internal/vec"
 )
 
-// TestSearchBufZeroAllocs is the allocation gate on the baseline query
-// path: after warmup, a sequential SearchBuf query — window binary search,
-// chunked brute scan, and merge — must not touch the heap. The plan,
-// per-chunk heaps, and merge storage all come from the caller-owned
-// exec.Scratch, and results land in dst's retained backing.
+// TestQueryZeroAllocs is the allocation gate on the baseline query path:
+// after warmup, a sequential Query — window binary search, chunked brute
+// scan, and merge — must not touch the heap. The plan, per-chunk heaps,
+// merge storage, and the results all live in the caller-owned
+// exec.Scratch.
 //
 // Workers=1 keeps execution on the caller's goroutine; parallel fan-out
 // allocates goroutine bookkeeping that the gate deliberately excludes.
 // Race builds skip via the build tag — the race runtime allocates.
-func TestSearchBufZeroAllocs(t *testing.T) {
+func TestQueryZeroAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant assertions allocate inside guarded blocks")
 	}
@@ -46,30 +46,30 @@ func TestSearchBufZeroAllocs(t *testing.T) {
 
 	ctx := context.Background()
 	scr := exec.NewScratch()
-	var dst []theap.Neighbor
+	var res []theap.Neighbor
 	x := exec.Executor{Workers: 1}
 	const k, ts, te = 10, 100, 900
 
 	for i := 0; i < 8; i++ {
-		dst, _ = ix.SearchBuf(ctx, scr, dst, q, k, ts, te, x)
+		res, _ = ix.Query(ctx, scr, q, k, ts, te, x)
 	}
-	if len(dst) != k {
-		t.Fatalf("warmup query returned %d results, want %d", len(dst), k)
+	if len(res) != k {
+		t.Fatalf("warmup query returned %d results, want %d", len(res), k)
 	}
 
 	allocs := testing.AllocsPerRun(100, func() {
-		dst, _ = ix.SearchBuf(ctx, scr, dst, q, k, ts, te, x)
+		res, _ = ix.Query(ctx, scr, q, k, ts, te, x)
 	})
 	if allocs != 0 {
-		t.Errorf("SearchBuf allocates %.1f times per query, want 0", allocs)
+		t.Errorf("Query allocates %.1f times per query, want 0", allocs)
 	}
 }
 
-// TestSearchBufCompressedZeroAllocs extends the gate to the SQ8 path:
+// TestQueryCompressedZeroAllocs extends the gate to the SQ8 path:
 // with chunked compression on, the same window scans sealed chunks
 // through the asymmetric LUT kernel and re-ranks survivors exactly, all
 // from the caller-owned exec.Scratch — still zero heap traffic.
-func TestSearchBufCompressedZeroAllocs(t *testing.T) {
+func TestQueryCompressedZeroAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant assertions allocate inside guarded blocks")
 	}
@@ -97,21 +97,21 @@ func TestSearchBufCompressedZeroAllocs(t *testing.T) {
 
 	ctx := context.Background()
 	scr := exec.NewScratch()
-	var dst []theap.Neighbor
+	var res []theap.Neighbor
 	x := exec.Executor{Workers: 1}
 	const k, ts, te = 10, 100, 900 // spans several sealed chunks mid-chunk
 
 	for i := 0; i < 8; i++ {
-		dst, _ = ix.SearchBuf(ctx, scr, dst, q, k, ts, te, x)
+		res, _ = ix.Query(ctx, scr, q, k, ts, te, x)
 	}
-	if len(dst) != k {
-		t.Fatalf("warmup query returned %d results, want %d", len(dst), k)
+	if len(res) != k {
+		t.Fatalf("warmup query returned %d results, want %d", len(res), k)
 	}
 
 	allocs := testing.AllocsPerRun(100, func() {
-		dst, _ = ix.SearchBuf(ctx, scr, dst, q, k, ts, te, x)
+		res, _ = ix.Query(ctx, scr, q, k, ts, te, x)
 	})
 	if allocs != 0 {
-		t.Errorf("compressed SearchBuf allocates %.1f times per query, want 0", allocs)
+		t.Errorf("compressed Query allocates %.1f times per query, want 0", allocs)
 	}
 }

@@ -115,43 +115,33 @@ func lowerBound(times []int64, t int64) int {
 // Search returns the exact k nearest neighbors to q among vectors with
 // timestamps in [ts, te), ordered by ascending distance. Returned IDs are
 // global insertion indices. Fewer than k results are returned when the
-// window holds fewer than k vectors.
+// window holds fewer than k vectors. It is Query on a pooled scratch, run
+// sequentially, with the results copied out.
 func (ix *Index) Search(q []float32, k int, ts, te int64) []theap.Neighbor {
-	res, _ := ix.SearchContext(context.Background(), q, k, ts, te, exec.Executor{Workers: 1})
-	return res
+	return exec.Pooled(func(scr *exec.Scratch) []theap.Neighbor {
+		res, _ := ix.Query(context.Background(), scr, q, k, ts, te, exec.Executor{Workers: 1})
+		return res
+	})
 }
 
-// SearchContext answers the query through the shared executor: the plan's
-// scan chunks run across x's worker pool, subtasks never start after ctx
-// is done, and expiry yields partial results tagged in the outcome. It
-// borrows a pooled scratch and copies the results out; SearchBuf is the
-// allocation-free variant.
-func (ix *Index) SearchContext(ctx context.Context, q []float32, k int, ts, te int64, x exec.Executor) ([]theap.Neighbor, exec.Outcome) {
-	scr := exec.GetScratch()
-	res, out := ix.searchScratch(ctx, scr, q, k, ts, te, x)
-	res = exec.CopyNeighbors(res)
-	out = out.Detach()
-	exec.PutScratch(scr)
-	return res, out
-}
-
-// SearchBuf is SearchContext with caller-owned buffers: the query's plan,
-// heaps, and merge storage come from scr, and the merged results are
-// appended into dst[:0], whose grown backing the caller keeps across
-// queries. A warmed-up sequential query performs zero heap allocations.
-// Outcome.Subtasks aliases scr and is valid until scr's next query.
+// Query is the one search body: it translates the query into the shared
+// executor's shape — the binary-searched window split into fixed-size scan
+// chunks (compressed where sealed), so a long window can be scanned by
+// several of x's workers and merged; chunks cover disjoint id ranges, so
+// the merged result is identical for every worker count — and runs it.
+// Subtasks never start after ctx is done, and expiry yields partial
+// results tagged in the outcome.
+//
+// The plan, heaps, and merge storage come from the caller-owned scr; the
+// results and Outcome.Subtasks alias it and are valid until its next
+// query. A warmed-up sequential query performs zero heap allocations.
 //
 //tknn:hotpath
-func (ix *Index) SearchBuf(ctx context.Context, scr *exec.Scratch, dst []theap.Neighbor, q []float32, k int, ts, te int64, x exec.Executor) ([]theap.Neighbor, exec.Outcome) {
-	res, out := ix.searchScratch(ctx, scr, q, k, ts, te, x)
-	dst = append(dst[:0], res...)
-	return dst, out
-}
-
-// searchScratch plans into scr and runs: the shared core of SearchContext
-// and SearchBuf. Results alias scr.
-func (ix *Index) searchScratch(ctx context.Context, scr *exec.Scratch, q []float32, k int, ts, te int64, x exec.Executor) ([]theap.Neighbor, exec.Outcome) {
+func (ix *Index) Query(ctx context.Context, scr *exec.Scratch, q []float32, k int, ts, te int64, x exec.Executor) ([]theap.Neighbor, exec.Outcome) {
 	planStart := time.Now()
+	// No query can return more than Len() neighbors, and the heaps are
+	// sized by k: an absurd k from the wire must not size an allocation.
+	k = min(k, ix.store.Len())
 	plan := exec.Plan{K: k, Query: q, Subtasks: scr.Subtasks[:0]}
 	if k > 0 && ts < te {
 		lo, hi := ix.Window(ts, te)
@@ -168,36 +158,11 @@ func (ix *Index) searchScratch(ctx context.Context, scr *exec.Scratch, q []float
 	return res, out
 }
 
-// Plan translates the query into the shared executor's shape: the
-// binary-searched window split into fixed-size brute-scan chunks, so a
-// long window can be scanned by several workers and merged. Chunks cover
-// disjoint id ranges, so the merged result is identical for every worker
-// count.
-func (ix *Index) Plan(q []float32, k int, ts, te int64) exec.Plan {
-	if k <= 0 || ts >= te {
-		return exec.Plan{K: k, Query: q}
-	}
-	lo, hi := ix.Window(ts, te)
-	return ScanPlan(ix.store, ix.metric, ix.times, q, k, lo, hi)
-}
-
 // ScanChunk is the row count of one brute-scan subtask. Large enough that
 // per-subtask overhead vanishes against ~thousands of distance
 // evaluations, small enough that a window of a few chunks already
 // parallelizes.
 const ScanChunk = 8192
-
-// ScanPlan builds the chunked brute-scan plan over global rows [lo, hi) of
-// store; times (when non-empty) annotates each chunk's subtask with its
-// time window.
-func ScanPlan(store *vec.Store, metric vec.Metric, times []int64, q []float32, k, lo, hi int) exec.Plan {
-	plan := exec.Plan{K: k, Query: q}
-	if k <= 0 || lo >= hi {
-		return plan
-	}
-	scanPlanInto(&plan, store, metric, times, lo, hi)
-	return plan
-}
 
 // scanPlanInto appends the window's scan chunks to plan as data-only
 // subtasks (the executor's built-in scan kernel runs them).
@@ -213,6 +178,21 @@ func scanPlanInto(plan *exec.Plan, store *vec.Store, metric vec.Metric, times []
 			st.WindowStart, st.WindowEnd = times[start], times[end-1]+1
 		}
 		plan.Subtasks = append(plan.Subtasks, st)
+	}
+}
+
+// TailScanInto appends one brute-scan subtask over the in-window run of
+// the tail [tailLo, len(times)) — how SF and IVF cover the vectors appended
+// since their last build. The tail is in timestamp order, so its window is
+// one contiguous run; nothing is appended when that run is empty.
+func TailScanInto(plan *exec.Plan, store *vec.Store, metric vec.Metric, times []int64, tailLo int, ts, te int64) {
+	lo, hi := WindowOf(times[tailLo:], ts, te)
+	if lo, hi = tailLo+lo, tailLo+hi; lo < hi {
+		plan.Subtasks = append(plan.Subtasks, exec.Subtask{
+			Kind: exec.BruteScan, Lo: lo, Hi: hi,
+			WindowStart: times[lo], WindowEnd: times[hi-1] + 1,
+			Store: store, Metric: metric, ScanLo: lo, ScanHi: hi,
+		})
 	}
 }
 

@@ -1,11 +1,15 @@
 package bsbf
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exec"
+	"repro/internal/sq"
 	"repro/internal/theap"
 	"repro/internal/vec"
 )
@@ -216,5 +220,49 @@ func BenchmarkSearchWide(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Search(q, 10, 0, 20000)
+	}
+}
+
+// TestQueryIsTheOneBody: the pooled Search and a caller-owned-scratch
+// Query — warm or fresh, on one worker or four — are one body and return
+// bit-identical neighbors, on a flat index whose windows span several scan
+// chunks and on an SQ8 one with sealed chunks and an exact tail.
+func TestQueryIsTheOneBody(t *testing.T) {
+	flat := New(4, vec.Euclidean)
+	comp, err := NewWithConfig(4, vec.Euclidean, Config{Compression: sq.SQ8, RerankFactor: 4, ChunkSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	const n = 2*ScanChunk + 500
+	for i := 0; i < n; i++ {
+		v := []float32{float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64())}
+		for _, ix := range []*Index{flat, comp} {
+			if err := ix.Append(v, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctx := context.Background()
+	for name, ix := range map[string]*Index{"flat": flat, "sq8": comp} {
+		warm := exec.NewScratch()
+		for _, win := range [][2]int64{{0, n}, {100, ScanChunk + 700}, {n - 300, n}, {40, 45}} {
+			q := []float32{float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64())}
+			want := ix.Search(q, 10, win[0], win[1])
+			if len(want) == 0 {
+				t.Fatalf("%s %v: no results", name, win)
+			}
+			for _, workers := range []int{1, 4} {
+				x := exec.Executor{Workers: workers}
+				got, out := ix.Query(ctx, warm, q, 10, win[0], win[1], x)
+				if out.Partial || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %v workers=%d warm scratch: partial=%v\n got %v\nwant %v", name, win, workers, out.Partial, got, want)
+				}
+				got, _ = ix.Query(ctx, exec.NewScratch(), q, 10, win[0], win[1], x)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %v workers=%d fresh scratch:\n got %v\nwant %v", name, win, workers, got, want)
+				}
+			}
+		}
 	}
 }

@@ -12,17 +12,17 @@ import (
 	"repro/internal/theap"
 )
 
-// TestSearchTauBufZeroAllocs is the allocation gate on the MBI query path:
-// after warmup, a sequential SearchTauBuf query — block selection, entry
-// seeding, graph search, brute scan, and merge — must not touch the heap.
-// Every buffer comes from the caller-owned Scratch or dst, so any regression
-// here means a per-query allocation crept back into the hot path.
+// TestQueryZeroAllocs is the allocation gate on the MBI query path: after
+// warmup, a sequential Query — block selection, entry seeding, graph
+// search, brute scan, and merge — must not touch the heap. Every buffer
+// comes from the caller-owned Scratch, so any regression here means a
+// per-query allocation crept back into the hot path.
 //
 // The gate runs with QueryWorkers=1: parallel fan-out spawns goroutines,
 // whose stacks the accounting would charge to the query. The file is
 // excluded from race builds for the same reason — the race runtime
 // instruments allocations of its own.
-func TestSearchTauBufZeroAllocs(t *testing.T) {
+func TestQueryZeroAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant assertions allocate inside guarded blocks")
 	}
@@ -36,34 +36,33 @@ func TestSearchTauBufZeroAllocs(t *testing.T) {
 
 	ctx := context.Background()
 	scr := NewScratch()
-	var dst []theap.Neighbor
-	p := graph.SearchParams{MC: 32, Eps: 1.2}
-	q := vecs[17]
-	const k, ts, te = 10, 40, 280 // multi-block window: graph + leaf scan subtasks
+	var res []theap.Neighbor
+	// multi-block window: graph + leaf scan subtasks
+	req := Request{Q: vecs[17], K: 10, Ts: 40, Te: 280, Params: graph.SearchParams{MC: 32, Eps: 1.2}}
 
-	// Warmup grows scr and dst to their steady-state capacities.
+	// Warmup grows scr to its steady-state capacities.
 	for i := 0; i < 8; i++ {
-		dst, _ = ix.SearchTauBuf(ctx, scr, dst, q, k, ts, te, opts.Tau, p, nil)
+		res, _ = ix.Query(ctx, scr, req)
 	}
-	if len(dst) != k {
-		t.Fatalf("warmup query returned %d results, want %d", len(dst), k)
+	if len(res) != req.K {
+		t.Fatalf("warmup query returned %d results, want %d", len(res), req.K)
 	}
 
 	allocs := testing.AllocsPerRun(100, func() {
-		dst, _ = ix.SearchTauBuf(ctx, scr, dst, q, k, ts, te, opts.Tau, p, nil)
+		res, _ = ix.Query(ctx, scr, req)
 	})
 	if allocs != 0 {
-		t.Errorf("SearchTauBuf allocates %.1f times per query, want 0", allocs)
+		t.Errorf("Query allocates %.1f times per query, want 0", allocs)
 	}
 }
 
-// TestSearchTauBufCompressedZeroAllocs extends the gate to the SQ8 path:
+// TestQueryCompressedZeroAllocs extends the gate to the SQ8 path:
 // with compression on, the same query runs the code-space graph search,
 // LUT fill, and exact re-rank — all from Scratch arenas — and must stay
 // off the heap just like the flat path. The plan is checked to actually
 // contain compressed blocks so the gate cannot silently measure a flat
 // fallback.
-func TestSearchTauBufCompressedZeroAllocs(t *testing.T) {
+func TestQueryCompressedZeroAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant assertions allocate inside guarded blocks")
 	}
@@ -79,12 +78,10 @@ func TestSearchTauBufCompressedZeroAllocs(t *testing.T) {
 
 	ctx := context.Background()
 	scr := NewScratch()
-	var dst []theap.Neighbor
-	p := graph.SearchParams{MC: 32, Eps: 1.2}
-	q := vecs[17]
-	const k, ts, te = 10, 40, 280
+	var res []theap.Neighbor
+	req := Request{Q: vecs[17], K: 10, Ts: 40, Te: 280, Params: graph.SearchParams{MC: 32, Eps: 1.2}}
 
-	plan := ix.ExplainTau(ts, te, opts.Tau)
+	plan := ix.ExplainTau(req.Ts, req.Te, opts.Tau)
 	compressed := 0
 	for _, b := range plan.Blocks {
 		if b.Compressed {
@@ -96,16 +93,16 @@ func TestSearchTauBufCompressedZeroAllocs(t *testing.T) {
 	}
 
 	for i := 0; i < 8; i++ {
-		dst, _ = ix.SearchTauBuf(ctx, scr, dst, q, k, ts, te, opts.Tau, p, nil)
+		res, _ = ix.Query(ctx, scr, req)
 	}
-	if len(dst) != k {
-		t.Fatalf("warmup query returned %d results, want %d", len(dst), k)
+	if len(res) != req.K {
+		t.Fatalf("warmup query returned %d results, want %d", len(res), req.K)
 	}
 
 	allocs := testing.AllocsPerRun(100, func() {
-		dst, _ = ix.SearchTauBuf(ctx, scr, dst, q, k, ts, te, opts.Tau, p, nil)
+		res, _ = ix.Query(ctx, scr, req)
 	})
 	if allocs != 0 {
-		t.Errorf("compressed SearchTauBuf allocates %.1f times per query, want 0", allocs)
+		t.Errorf("compressed Query allocates %.1f times per query, want 0", allocs)
 	}
 }

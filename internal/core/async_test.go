@@ -81,7 +81,7 @@ func TestAsyncSearchDuringBacklog(t *testing.T) {
 		a := rng.Intn(200)
 		b := a + 1 + rng.Intn(200-a)
 		q := vs[rng.Intn(len(vs))]
-		got := ix.SearchWith(q, 5, int64(a), int64(b), p, rng)
+		got := queryWith(ix, q, 5, int64(a), int64(b), p, rng)
 		exact := bruteForce(ix, q, 5, int64(a), int64(b))
 		if len(got) != len(exact) {
 			t.Fatalf("[%d,%d): %d results, want %d", a, b, len(got), len(exact))
@@ -167,7 +167,7 @@ func TestSearchDuringInlineSeal(t *testing.T) {
 	q, lo, hi := vs[n-3], int64(n-leaf), int64(n)
 	done := make(chan answer, 1)
 	go func() {
-		got := ix.SearchWith(q, 5, lo, hi, graphParamsExhaustive(), rand.New(rand.NewSource(82)))
+		got := queryWith(ix, q, 5, lo, hi, graphParamsExhaustive(), rand.New(rand.NewSource(82)))
 		done <- answer{got, ix.PendingBuilds()}
 	}()
 	var ans answer
@@ -226,7 +226,7 @@ func TestAsyncConcurrentAppendAndSearch(t *testing.T) {
 				}
 				a := rng.Int63n(n - 1)
 				b := a + 1 + rng.Int63n(n-a)
-				res := ix.SearchWith(q, 3, a, b, graph.SearchParams{MC: 16, Eps: 1.2}, rng)
+				res := queryWith(ix, q, 3, a, b, graph.SearchParams{MC: 16, Eps: 1.2}, rng)
 				for _, r := range res {
 					if int64(r.ID) < a || int64(r.ID) >= b {
 						errs <- errOutOfWindow
@@ -282,7 +282,7 @@ func TestAsyncCloseSemantics(t *testing.T) {
 	}
 	// Searches still work after close.
 	rng := rand.New(rand.NewSource(78))
-	if res := ix.SearchWith(v, 3, 0, 100, graphParamsExhaustive(), rng); len(res) != 3 {
+	if res := queryWith(ix, v, 3, 0, 100, graphParamsExhaustive(), rng); len(res) != 3 {
 		t.Errorf("post-close search returned %d results", len(res))
 	}
 	// Flush after close is a no-op.

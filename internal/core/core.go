@@ -29,9 +29,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/blockcache"
+	"repro/internal/bsbf"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/invariant"
@@ -55,8 +57,8 @@ type Options struct {
 	// Builder constructs the per-block proximity graph (NNDescent in the
 	// paper's experiments; any graph.Builder works).
 	Builder graph.Builder
-	// Search supplies the default Algorithm 2 parameters (M_C, ε) used by
-	// Search; SearchWith overrides them per query.
+	// Search supplies the default Algorithm 2 parameters (M_C, ε);
+	// Request.Params overrides them per query.
 	Search graph.SearchParams
 	// Workers bounds the goroutines used for parallel block building
 	// during a merge cascade (§4.2 "Parallelization of MBI").
@@ -159,7 +161,7 @@ type Block struct {
 // Len returns the number of vectors the block covers.
 func (b *Block) Len() int { return b.Hi - b.Lo }
 
-// Index is an MBI index. Append is single-writer; Search/SearchWith may be
+// Index is an MBI index. Append is single-writer; Search/Query may be
 // called concurrently with each other and with Append. Block graphs are
 // built outside the lock, so searches issued during a merge cascade do not
 // wait for it: they brute-force the sealed leaves whose blocks have not
@@ -497,85 +499,96 @@ func (ix *Index) selectInLocked(bi int, ts, te int64, tau float64, out *[]select
 	ix.selectInLocked(right, ts, te, tau, out)
 }
 
-// Search answers a TkNN query q = (w, k, ts, te) with the index's default
-// Algorithm 2 parameters, returning up to k results ordered by ascending
+// Request is one TkNN query q = (w, k, ts, te) plus its per-query
+// parameters. The zero value of every optional field means the index's
+// configured default, so Request{Q: q, K: k, Ts: ts, Te: te} is the plain
+// query.
+type Request struct {
+	// Q is the query vector, K the result count, [Ts, Te) the time window.
+	Q      []float32
+	K      int
+	Ts, Te int64
+	// Tau is the block-selection threshold τ ∈ (0, 1]; zero uses
+	// Options.Tau. τ is a pure query-time parameter — no index state
+	// depends on it (the Figure 9 sweep varies it per query).
+	Tau float64
+	// TauTable, when non-nil, overrides Tau with the tuned τ for the
+	// window's coverage fraction — the run-time half of §5.4.2's
+	// suggestion. The fraction costs two binary searches.
+	TauTable *TauTable
+	// Params are the Algorithm 2 parameters (M_C, ε); the zero value uses
+	// Options.Search.
+	Params graph.SearchParams
+	// Rng, when non-nil, is the source of entry-point randomness, consumed
+	// at plan time in selection order (reproducible experiments); it must
+	// not be shared across goroutines. Nil draws entries from a plan-local
+	// entropy source seeded by hashing the query vector (see entrySalt).
+	// Either way the draws happen before execution, so results are
+	// identical for every worker count.
+	Rng *rand.Rand
+	// Explain, when non-nil, receives the executed plan — the static
+	// Explain fields annotated with per-block timings, skip flags, stage
+	// durations, and the Partial flag: EXPLAIN ANALYZE to Explain's
+	// EXPLAIN. Its Blocks backing is reused.
+	Explain *Plan
+}
+
+// Search answers a TkNN query with every per-query parameter at the
+// index's default, returning up to k results ordered by ascending
 // distance. IDs are global insertion indices. Fewer than k results are
-// returned when the window holds fewer than k vectors.
+// returned when the window holds fewer than k vectors. It is Query on a
+// pooled scratch with the results copied out.
 func (ix *Index) Search(q []float32, k int, ts, te int64) []theap.Neighbor {
-	res, _ := ix.SearchContext(context.Background(), q, k, ts, te)
-	return res
+	scr := GetScratch()
+	defer PutScratch(scr)
+	res, _ := ix.Query(context.Background(), scr, Request{Q: q, K: k, Ts: ts, Te: te})
+	return slices.Clone(res) // keeps nil nil
 }
 
-// SearchContext is Search with a context: subtasks of the query plan never
-// start after ctx is done, and on cancellation or deadline expiry the
-// merged results of the subtasks that did run are returned with
-// Outcome.Partial set instead of an error.
-func (ix *Index) SearchContext(ctx context.Context, q []float32, k int, ts, te int64) ([]theap.Neighbor, exec.Outcome) {
-	return ix.SearchTauContext(ctx, q, k, ts, te, ix.opts.Tau, ix.opts.Search, nil)
-}
-
-// SearchWith answers a TkNN query with explicit Algorithm 2 parameters and
-// an explicit source of entry-point randomness, for reproducible
-// experiments. rng must not be shared across goroutines.
-func (ix *Index) SearchWith(q []float32, k int, ts, te int64, p graph.SearchParams, rng *rand.Rand) []theap.Neighbor {
-	return ix.SearchTau(q, k, ts, te, ix.opts.Tau, p, rng)
-}
-
-// SearchTau is SearchWith with an explicit block-selection threshold τ,
-// used by the τ-sweep experiment (Figure 9). τ is a pure query-time
-// parameter — no index state depends on it.
-func (ix *Index) SearchTau(q []float32, k int, ts, te int64, tau float64, p graph.SearchParams, rng *rand.Rand) []theap.Neighbor {
-	res, _ := ix.SearchTauContext(context.Background(), q, k, ts, te, tau, p, rng)
-	return res
-}
-
-// SearchTauContext plans the query (block selection plus per-block entry
-// points) and hands the plan to the shared executor. A nil rng draws entry
-// points from a plan-local entropy source seeded by hashing the query
-// vector (see entrySalt); a non-nil rng is consumed at plan time in
-// selection order. Either way the draws happen before execution, so results
-// are reproducible and identical for every worker count. The returned
-// outcome carries stage timings and the Partial flag.
+// Query is the one search body: it plans the query (block selection plus
+// per-block entry points) and hands the plan to the shared executor.
+// Subtasks of the plan never start after ctx is done, and on cancellation
+// or deadline expiry the merged results of the subtasks that did run are
+// returned with Outcome.Partial set instead of an error. The outcome also
+// carries the stage timings.
 //
-// It borrows a pooled scratch and copies the results out; SearchTauBuf is
-// the allocation-free variant.
-func (ix *Index) SearchTauContext(ctx context.Context, q []float32, k int, ts, te int64, tau float64, p graph.SearchParams, rng *rand.Rand) ([]theap.Neighbor, exec.Outcome) {
-	scr := getScratch()
-	res, out := ix.searchTauScratch(ctx, scr, q, k, ts, te, tau, p, rng)
-	res = exec.CopyNeighbors(res)
-	out = out.Detach()
-	putScratch(scr)
-	return res, out
-}
-
-// SearchTauBuf is SearchTauContext with caller-owned buffers: block
-// selection, entry seeds, subtask heaps, and merge storage come from scr,
-// and the merged results are appended into dst[:0], whose grown backing
-// the caller keeps across queries. A warmed-up sequential query performs
-// zero heap allocations. Outcome.Subtasks aliases scr and is valid until
-// scr's next query.
+// Block selection, entry seeds, subtask heaps, and merge storage all come
+// from the caller-owned scr; the returned neighbors and Outcome.Subtasks
+// alias it and are valid until its next query. A warmed-up sequential
+// query performs zero heap allocations.
 //
 //tknn:hotpath
-func (ix *Index) SearchTauBuf(ctx context.Context, scr *Scratch, dst []theap.Neighbor, q []float32, k int, ts, te int64, tau float64, p graph.SearchParams, rng *rand.Rand) ([]theap.Neighbor, exec.Outcome) {
-	res, out := ix.searchTauScratch(ctx, scr, q, k, ts, te, tau, p, rng)
-	dst = append(dst[:0], res...)
-	return dst, out
-}
-
-// searchTauScratch plans into scr and runs: the shared core of
-// SearchTauContext and SearchTauBuf. Results alias scr.
-func (ix *Index) searchTauScratch(ctx context.Context, scr *Scratch, q []float32, k int, ts, te int64, tau float64, p graph.SearchParams, rng *rand.Rand) ([]theap.Neighbor, exec.Outcome) {
-	if k <= 0 || ts >= te {
-		return nil, exec.Outcome{}
-	}
+func (ix *Index) Query(ctx context.Context, scr *Scratch, req Request) ([]theap.Neighbor, exec.Outcome) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.store.Len() == 0 {
+	n := ix.store.Len()
+	tau := req.Tau
+	if tau == 0 {
+		tau = ix.opts.Tau
+	}
+	if req.TauTable != nil && n > 0 {
+		lo, hi := bsbf.WindowOf(ix.times, req.Ts, req.Te)
+		tau = req.TauTable.TauFor(float64(hi-lo) / float64(n))
+	}
+	if req.Explain != nil {
+		*req.Explain = Plan{Tau: tau, WindowStart: req.Ts, WindowEnd: req.Te, Blocks: req.Explain.Blocks[:0]}
+	}
+	// No query can return more than n neighbors, and the heaps are sized
+	// by k: an absurd k from the wire must not size an allocation.
+	k := min(req.K, n)
+	if k <= 0 || req.Ts >= req.Te {
 		return nil, exec.Outcome{}
 	}
-	plan, _, selDur := ix.planTimedLocked(scr, q, k, ts, te, tau, p, rng)
+	p := req.Params
+	if p == (graph.SearchParams{}) {
+		p = ix.opts.Search
+	}
+	plan, sel, selDur := ix.planTimedLocked(scr, req.Q, k, req.Ts, req.Te, tau, p, req.Rng)
 	res, out := ix.executor.RunScratch(ctx, plan, &scr.ex)
 	out.Select = selDur
+	if req.Explain != nil {
+		ix.explainExecutedLocked(req.Explain, sel, out)
+	}
 	return res, out
 }
 

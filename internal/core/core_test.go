@@ -380,7 +380,7 @@ func TestSearchResultsRespectWindow(t *testing.T) {
 		a := rng.Intn(200)
 		b := a + 1 + rng.Intn(200-a)
 		q := vs[rng.Intn(len(vs))]
-		res := ix.SearchWith(q, 5, int64(a), int64(b), graph.SearchParams{MC: 32, Eps: 1.3}, rng)
+		res := queryWith(ix, q, 5, int64(a), int64(b), graph.SearchParams{MC: 32, Eps: 1.3}, rng)
 		for i, r := range res {
 			if int(r.ID) < a || int(r.ID) >= b {
 				t.Fatalf("result id %d outside window [%d, %d)", r.ID, a, b)
@@ -424,7 +424,7 @@ func TestRecallAgainstExact(t *testing.T) {
 			a := rng.Intn(2000 - wlen + 1)
 			ts, te := int64(a), int64(a+wlen)
 			q := vs[rng.Intn(len(vs))]
-			got := ix.SearchWith(q, k, ts, te, p, rng)
+			got := queryWith(ix, q, k, ts, te, p, rng)
 			want := exact.Search(q, k, ts, te)
 			if len(want) == 0 {
 				recall++
@@ -479,7 +479,7 @@ func TestParallelBuildEquivalence(t *testing.T) {
 	}
 }
 
-// TestConcurrentSearches hammers SearchWith from several goroutines while
+// TestConcurrentSearches hammers Query from several goroutines while
 // results are checked for window containment. Heavier mixed
 // append/search/seal workloads live in stress_race_test.go and run under
 // `go test -race` (the `make race` target).
@@ -496,7 +496,7 @@ func TestConcurrentSearches(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				a := rng.Intn(300)
 				b := a + 1 + rng.Intn(300-a)
-				res := ix.SearchWith(vs[rng.Intn(len(vs))], 5, int64(a), int64(b),
+				res := queryWith(ix, vs[rng.Intn(len(vs))], 5, int64(a), int64(b),
 					graph.SearchParams{MC: 32, Eps: 1.2}, rng)
 				for _, r := range res {
 					if int(r.ID) < a || int(r.ID) >= b {
@@ -542,7 +542,7 @@ func TestSearchDuringAppends(t *testing.T) {
 				return
 			default:
 			}
-			ix.SearchWith(q, 3, 0, 1<<40, graph.SearchParams{MC: 16, Eps: 1.1}, rng)
+			queryWith(ix, q, 3, 0, 1<<40, graph.SearchParams{MC: 16, Eps: 1.1}, rng)
 		}
 	}()
 	rng := rand.New(rand.NewSource(25))
@@ -579,8 +579,8 @@ func TestRestoreRoundTripState(t *testing.T) {
 	p := graph.SearchParams{MC: 32, Eps: 1.2}
 	for trial := 0; trial < 20; trial++ {
 		q := vs[trial%len(vs)]
-		a := ix.SearchWith(q, 5, 0, 37, p, rng1)
-		b := restored.SearchWith(q, 5, 0, 37, p, rng2)
+		a := queryWith(ix, q, 5, 0, 37, p, rng1)
+		b := queryWith(restored, q, 5, 0, 37, p, rng2)
 		if len(a) != len(b) {
 			t.Fatalf("result lengths differ: %d vs %d", len(a), len(b))
 		}

@@ -56,7 +56,7 @@ func TestSearchEquivalentAcrossWorkerCounts(t *testing.T) {
 		for qi := 0; qi < 20; qi++ {
 			q := vs[qi*13]
 			for wi, win := range windows {
-				res, out := ix.SearchContext(context.Background(), q, 5, win[0], win[1])
+				res, out := queryCtx(context.Background(), ix, Request{Q: q, K: 5, Ts: win[0], Te: win[1]})
 				if out.Partial {
 					t.Fatalf("workers=%d q=%d win=%v: partial without cancellation", workers, qi, win)
 				}
@@ -82,14 +82,14 @@ func TestSearchContextCancel(t *testing.T) {
 	ix, vs := execTestIndex(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, out := ix.SearchContext(ctx, vs[0], 3, 0, 300)
+	res, out := queryCtx(ctx, ix, Request{Q: vs[0], K: 3, Ts: 0, Te: 300})
 	if len(res) != 0 {
 		t.Fatalf("canceled search returned %v", res)
 	}
 	if !out.Partial {
 		t.Fatal("canceled search not marked partial")
 	}
-	res, out = ix.SearchContext(context.Background(), vs[0], 3, 0, 300)
+	res, out = queryCtx(context.Background(), ix, Request{Q: vs[0], K: 3, Ts: 0, Te: 300})
 	if out.Partial || len(res) == 0 {
 		t.Fatalf("follow-up search broken: partial=%v res=%v", out.Partial, res)
 	}

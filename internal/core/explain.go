@@ -1,15 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/graph"
-	"repro/internal/theap"
 )
 
 // BlockPlan describes one block that top-down selection chose for a query
@@ -43,7 +39,7 @@ type BlockPlan struct {
 	Cold  bool
 	Fetch time.Duration
 	// Duration is the block subtask's wall-clock run time. Zero unless the
-	// plan was executed (SearchExplainContext).
+	// plan was executed (Request.Explain).
 	Duration time.Duration
 	// Skipped reports that the executed plan's context was done before
 	// this block's subtask started. Always false for static Explain.
@@ -66,7 +62,7 @@ type Plan struct {
 	Blocks []BlockPlan
 
 	// Executed reports whether the plan was actually run
-	// (SearchExplainContext); the fields below are zero otherwise.
+	// (Request.Explain); the fields below are zero otherwise.
 	Executed bool
 	// Partial reports that the context was done before every block
 	// finished — the query's results cover only the blocks that ran.
@@ -135,16 +131,17 @@ func (ix *Index) Explain(ts, te int64) Plan {
 func (ix *Index) ExplainTau(ts, te int64, tau float64) Plan {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.store.Len() == 0 || ts >= te {
-		return Plan{Tau: tau, WindowStart: ts, WindowEnd: te}
+	plan := Plan{Tau: tau, WindowStart: ts, WindowEnd: te}
+	if ix.store.Len() > 0 && ts < te {
+		ix.explainSelLocked(&plan, ix.selectBlocksLocked(ts, te, tau, nil))
 	}
-	return ix.explainSelLocked(ix.selectBlocksLocked(ts, te, tau, nil), ts, te, tau)
+	return plan
 }
 
-// explainSelLocked renders selections into the static half of a Plan.
-// Caller holds mu.
-func (ix *Index) explainSelLocked(sel []selection, ts, te int64, tau float64) Plan {
-	plan := Plan{Tau: tau, WindowStart: ts, WindowEnd: te}
+// explainSelLocked renders selections into the static half of plan, whose
+// Tau and window are already set. Caller holds mu.
+func (ix *Index) explainSelLocked(plan *Plan, sel []selection) {
+	ts, te := plan.WindowStart, plan.WindowEnd
 	for _, s := range sel {
 		bts, bte := ix.blockWindowLocked(s.lo, s.hi)
 		ro := 1.0
@@ -171,40 +168,22 @@ func (ix *Index) explainSelLocked(sel []selection, ts, te int64, tau float64) Pl
 		})
 		plan.TotalInWindow += inWindow
 	}
-	return plan
 }
 
-// SearchExplainContext answers the query through the shared executor and
-// returns the results together with the *executed* plan: the static
-// Explain fields annotated with per-block timings, skip flags, stage
-// durations, and the Partial flag. It is the EXPLAIN ANALYZE counterpart
-// of Explain. A nil rng draws entry points from a plan-local query-hash
-// entropy source, as in SearchTauContext.
-func (ix *Index) SearchExplainContext(ctx context.Context, q []float32, k int, ts, te int64, tau float64, p graph.SearchParams, rng *rand.Rand) ([]theap.Neighbor, Plan) {
-	if k <= 0 || ts >= te {
-		return nil, Plan{Tau: tau, WindowStart: ts, WindowEnd: te}
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.store.Len() == 0 {
-		return nil, Plan{Tau: tau, WindowStart: ts, WindowEnd: te}
-	}
-	scr := getScratch()
-	eplan, sel, selDur := ix.planTimedLocked(scr, q, k, ts, te, tau, p, rng)
-	res, out := ix.executor.RunScratch(ctx, eplan, &scr.ex)
-	res = exec.CopyNeighbors(res)
-
-	plan := ix.explainSelLocked(sel, ts, te, tau)
+// explainExecutedLocked completes Request.Explain after the query ran: the
+// static rendering of the executed selections, annotated from the outcome.
+// Caller holds mu.
+func (ix *Index) explainExecutedLocked(plan *Plan, sel []selection, out exec.Outcome) {
+	ix.explainSelLocked(plan, sel)
 	plan.Executed = true
 	plan.Partial = out.Partial
-	plan.Select = selDur
+	plan.Select = out.Select
 	plan.Search = out.Search
 	plan.Merge = out.Merge
 	plan.Rerank = out.Rerank
 	plan.Fetch = out.Fetch
 	// planLocked emits exactly one subtask per selection, in order, so the
-	// executed results annotate the static blocks 1:1. The annotations are
-	// copied out of the outcome before the scratch is returned to its pool.
+	// executed results annotate the static blocks 1:1.
 	for i := range plan.Blocks {
 		sr := out.Subtasks[i]
 		plan.Blocks[i].Duration = sr.Duration
@@ -217,8 +196,6 @@ func (ix *Index) SearchExplainContext(ctx context.Context, q []float32, k int, t
 			plan.Blocks[i].Compressed = true
 		}
 	}
-	putScratch(scr)
-	return res, plan
 }
 
 // heightOfRangeLocked resolves a selected range back to its block height.

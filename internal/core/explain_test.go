@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -147,7 +148,7 @@ func TestTuneTauAndAutoSearch(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := rng.Intn(400)
 		b := a + 1 + rng.Intn(400-a)
-		res := ix.SearchAutoTau(vs[rng.Intn(len(vs))], 5, int64(a), int64(b), table, p, rng)
+		res, _ := queryCtx(context.Background(), ix, Request{Q: vs[rng.Intn(len(vs))], K: 5, Ts: int64(a), Te: int64(b), TauTable: table, Params: p, Rng: rng})
 		for _, r := range res {
 			if int(r.ID) < a || int(r.ID) >= b {
 				t.Fatalf("auto-tau result %d outside [%d, %d)", r.ID, a, b)

@@ -1,13 +1,30 @@
 package core
 
 import (
+	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/bsbf"
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/theap"
 )
+
+// queryCtx runs req through the one search body on a fresh scratch, so the
+// returned neighbors and Outcome.Subtasks stay valid for the rest of the
+// test.
+func queryCtx(ctx context.Context, ix *Index, req Request) ([]theap.Neighbor, exec.Outcome) {
+	return ix.Query(ctx, NewScratch(), req)
+}
+
+// queryWith is a query with explicit Algorithm 2 parameters and an
+// explicit source of entry-point randomness, τ at the index default.
+func queryWith(ix *Index, q []float32, k int, ts, te int64, p graph.SearchParams, rng *rand.Rand) []theap.Neighbor {
+	res, _ := queryCtx(context.Background(), ix, Request{Q: q, K: k, Ts: ts, Te: te, Params: p, Rng: rng})
+	return res
+}
 
 // graphParamsExhaustive returns search parameters that make Algorithm 2
 // visit every reachable node: an effectively infinite frontier and bound.

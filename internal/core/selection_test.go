@@ -189,7 +189,7 @@ func TestDuplicateTimestamps(t *testing.T) {
 	}
 	// Query for a single shared timestamp: the half-open window [3, 4)
 	// holds exactly vectors 12..15.
-	res := ix.SearchWith(vs[13], 4, 3, 4, ix.opts.Search, rng)
+	res := queryWith(ix, vs[13], 4, 3, 4, ix.opts.Search, rng)
 	if len(res) != 4 {
 		t.Fatalf("%d results, want 4", len(res))
 	}
@@ -200,7 +200,7 @@ func TestDuplicateTimestamps(t *testing.T) {
 	}
 	// A window covering nothing between stamps returns nothing... there
 	// are no gaps with integer consecutive stamps, so query before time 0.
-	if got := ix.SearchWith(vs[0], 3, -10, 0, ix.opts.Search, rng); len(got) != 0 {
+	if got := queryWith(ix, vs[0], 3, -10, 0, ix.opts.Search, rng); len(got) != 0 {
 		t.Errorf("pre-history window returned %v", got)
 	}
 }
@@ -220,7 +220,7 @@ func TestExhaustiveEpsIsExact(t *testing.T) {
 		a := rng.Intn(300)
 		b := a + 1 + rng.Intn(300-a)
 		q := vs[rng.Intn(len(vs))]
-		got := ix.SearchWith(q, 5, int64(a), int64(b), big, rng)
+		got := queryWith(ix, q, 5, int64(a), int64(b), big, rng)
 		want := bruteForce(ix, q, 5, int64(a), int64(b))
 		if len(got) != len(want) {
 			t.Fatalf("[%d,%d): %d results, want %d", a, b, len(got), len(want))
@@ -253,7 +253,7 @@ func TestExactnessPropertyAcrossShapes(t *testing.T) {
 			b := a + 1 + rng.Intn(n-a)
 			k := 1 + rng.Intn(8)
 			probe := vs[rng.Intn(len(vs))]
-			got := ix.SearchWith(probe, k, int64(a), int64(b), p, rng)
+			got := queryWith(ix, probe, k, int64(a), int64(b), p, rng)
 			want := bruteForce(ix, probe, k, int64(a), int64(b))
 			if len(got) != len(want) {
 				t.Fatalf("sl=%d n=%d k=%d [%d,%d): %d results, want %d", sl, n, k, a, b, len(got), len(want))

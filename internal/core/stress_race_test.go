@@ -15,7 +15,7 @@ import (
 	"testing"
 )
 
-// stressSearchers starts n goroutines that hammer SearchWith, Stats, Len,
+// stressSearchers starts n goroutines that hammer Query, Stats, Len,
 // and the selection planner over random windows until stop closes, checking
 // window containment and completeness on every result: timestamps are
 // insertion indices and block graphs are connected, so an exhaustive walk
@@ -45,7 +45,7 @@ func stressSearchers(ix *Index, n int, stop <-chan struct{}) chan error {
 				}
 				a := rng.Int63n(hi - 1)
 				b := a + 1 + rng.Int63n(hi-a)
-				res := ix.SearchWith(q, 5, a, b, graphParamsExhaustive(), rng)
+				res := queryWith(ix, q, 5, a, b, graphParamsExhaustive(), rng)
 				for _, r := range res {
 					if int64(r.ID) < a || int64(r.ID) >= b {
 						errs <- errOutOfWindow

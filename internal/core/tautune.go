@@ -7,17 +7,14 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/bsbf"
-	"repro/internal/exec"
 	"repro/internal/graph"
-	"repro/internal/theap"
 )
 
 // The paper's §5.4.2 closes with: "If possible, one can compute the
 // optimal τ for each query interval experimentally beforehand, and use
 // the pre-computed τ at run-time." This file implements that suggestion:
 // TuneTau measures query throughput across a τ grid for a ladder of
-// window fractions, producing a TauTable that SearchAutoTau consults per
+// window fractions, producing a TauTable that Request.TauTable consults per
 // query based on how much of the database the window covers.
 
 // TauTable maps a query window's coverage fraction to the τ that measured
@@ -112,6 +109,7 @@ func (ix *Index) TuneTau(cfg TunerConfig) (*TauTable, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	table := &TauTable{Fractions: cfg.Fractions}
+	scr := NewScratch()
 
 	for _, frac := range cfg.Fractions {
 		// Pre-sample the workload once per bucket so every τ measures the
@@ -152,7 +150,7 @@ func (ix *Index) TuneTau(cfg TunerConfig) (*TauTable, error) {
 				qrng := rand.New(rand.NewSource(cfg.Seed + int64(tau*1000) + int64(rep)))
 				start := time.Now()
 				for _, it := range items {
-					ix.SearchTau(it.q, cfg.K, it.ts, it.te, tau, cfg.Search, qrng)
+					ix.Query(context.Background(), scr, Request{Q: it.q, K: cfg.K, Ts: it.ts, Te: it.te, Tau: tau, Params: cfg.Search, Rng: qrng})
 				}
 				if elapsed := time.Since(start); elapsed < fastest {
 					fastest = elapsed
@@ -165,35 +163,4 @@ func (ix *Index) TuneTau(cfg TunerConfig) (*TauTable, error) {
 		table.Taus = append(table.Taus, bestTau)
 	}
 	return table, nil
-}
-
-// SearchAutoTauDefault is SearchAutoTau with the index's default search
-// parameters and internal entry randomness, mirroring Search.
-func (ix *Index) SearchAutoTauDefault(q []float32, k int, ts, te int64, table *TauTable) []theap.Neighbor {
-	return ix.SearchAutoTau(q, k, ts, te, table, ix.opts.Search, nil)
-}
-
-// SearchAutoTau answers a TkNN query using the tuned τ for the window's
-// coverage fraction — the run-time half of §5.4.2's suggestion. The
-// fraction is computed with two binary searches, so the overhead over
-// SearchTau is O(log n). A nil rng draws entry points from a plan-local
-// query-hash entropy source, as in SearchTauContext.
-func (ix *Index) SearchAutoTau(q []float32, k int, ts, te int64, table *TauTable, p graph.SearchParams, rng *rand.Rand) []theap.Neighbor {
-	res, _ := ix.SearchAutoTauContext(context.Background(), q, k, ts, te, table, p, rng)
-	return res
-}
-
-// SearchAutoTauContext is SearchAutoTau through the shared executor, with
-// cancellation/deadline semantics and the stage-timing outcome of
-// SearchTauContext.
-func (ix *Index) SearchAutoTauContext(ctx context.Context, q []float32, k int, ts, te int64, table *TauTable, p graph.SearchParams, rng *rand.Rand) ([]theap.Neighbor, exec.Outcome) {
-	ix.mu.RLock()
-	n := ix.store.Len()
-	var frac float64
-	if n > 0 {
-		lo, hi := bsbf.WindowOf(ix.times, ts, te)
-		frac = float64(hi-lo) / float64(n)
-	}
-	ix.mu.RUnlock()
-	return ix.SearchTauContext(ctx, q, k, ts, te, table.TauFor(frac), p, rng)
 }

@@ -16,11 +16,11 @@
 //   - reporting per-subtask and per-stage timings for Explain plans,
 //     server responses, and metrics.
 //
-// Callers typically hold their index's read lock across Run; the executor
-// always joins its workers before returning, so data guarded by that lock
-// is never touched after Run returns (no goroutine outlives the call even
-// when the context fires — at worst Run waits for in-flight subtasks to
-// finish while skipping the rest).
+// Callers typically hold their index's read lock across RunScratch; the
+// executor always joins its workers before returning, so data guarded by
+// that lock is never touched after it returns (no goroutine outlives the
+// call even when the context fires — at worst it waits for in-flight
+// subtasks to finish while skipping the rest).
 package exec
 
 import (
@@ -209,7 +209,7 @@ type Outcome struct {
 // valid and runs sequentially; construct with New to default to one
 // worker per CPU. Executors are stateless and safe for concurrent use.
 type Executor struct {
-	// Workers bounds the goroutines one Run may use. Values <= 1 run the
+	// Workers bounds the goroutines one RunScratch may use. Values <= 1 run the
 	// plan sequentially on the calling goroutine.
 	Workers int
 }
@@ -223,31 +223,19 @@ func New(workers int) Executor {
 	return Executor{Workers: workers}
 }
 
-// Run executes the plan and merges the per-subtask lists into the final
-// top-K. Subtasks never start after ctx is done; in-flight subtasks are
-// always joined before Run returns, so at worst cancellation latency is
+// RunScratch executes the plan and merges the per-subtask lists into the
+// final top-K. Subtasks never start after ctx is done; in-flight subtasks
+// are always joined before it returns, so at worst cancellation latency is
 // one subtask's duration. When any subtask was skipped the outcome is
 // tagged Partial and the merged results cover only what ran — partial
 // answers instead of errors, because a late result set is still useful to
 // a serving tier while a failed query is not.
 //
-// Run borrows a pooled Scratch and returns freshly copied results, so the
-// caller owns everything it gets back. The allocation-free path is
-// RunScratch.
-func (e Executor) Run(ctx context.Context, p Plan) ([]theap.Neighbor, Outcome) {
-	scr := GetScratch()
-	res, out := e.RunScratch(ctx, p, scr)
-	res = CopyNeighbors(res)
-	out = out.Detach()
-	PutScratch(scr)
-	return res, out
-}
-
-// RunScratch is Run with caller-owned per-query state: the per-subtask
-// result heaps, the merge buffer, the returned neighbor slice, and
-// Outcome.Subtasks all live in scr and stay valid only until scr's next
-// query. A warmed-up sequential run (Workers <= 1) performs zero heap
-// allocations; parallel runs pay only the inherent goroutine fan-out.
+// All per-query state is caller-owned: the per-subtask result heaps, the
+// merge buffer, the returned neighbor slice, and Outcome.Subtasks live in
+// scr and stay valid only until scr's next query. A warmed-up sequential
+// run (Workers <= 1) performs zero heap allocations; parallel runs pay only
+// the inherent goroutine fan-out.
 //
 //tknn:hotpath
 func (e Executor) RunScratch(ctx context.Context, p Plan, scr *Scratch) ([]theap.Neighbor, Outcome) {
@@ -364,25 +352,4 @@ func RerankK(k, factor, n int) int {
 		rk = k
 	}
 	return rk
-}
-
-// CopyNeighbors returns a fresh copy of src, preserving nil — how the
-// convenience search paths detach scratch-aliased results before the
-// scratch goes back to its pool.
-func CopyNeighbors(src []theap.Neighbor) []theap.Neighbor {
-	if src == nil {
-		return nil
-	}
-	cp := make([]theap.Neighbor, len(src))
-	copy(cp, src)
-	return cp
-}
-
-// Detach returns a copy of the outcome whose Subtasks slice no longer
-// aliases executor scratch.
-func (o Outcome) Detach() Outcome {
-	cp := make([]SubtaskResult, len(o.Subtasks))
-	copy(cp, o.Subtasks)
-	o.Subtasks = cp
-	return o
 }

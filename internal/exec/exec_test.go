@@ -27,6 +27,12 @@ func listPlan(k int, lists ...[]theap.Neighbor) Plan {
 	return p
 }
 
+// run executes p on a fresh scratch, so each call's results and
+// Outcome.Subtasks stay valid for the rest of the test.
+func run(ctx context.Context, e Executor, p Plan) ([]theap.Neighbor, Outcome) {
+	return e.RunScratch(ctx, p, NewScratch())
+}
+
 func TestRunEquivalentAcrossWorkerCounts(t *testing.T) {
 	// 8 subtasks over disjoint ranges; results must be identical for any
 	// worker count because entries are fixed at plan time and the merge
@@ -44,7 +50,7 @@ func TestRunEquivalentAcrossWorkerCounts(t *testing.T) {
 	p := listPlan(5, lists...)
 	var want []theap.Neighbor
 	for _, workers := range []int{1, 2, 3, 8, 16} {
-		got, out := New(workers).Run(context.Background(), p)
+		got, out := run(context.Background(), New(workers), p)
 		if out.Partial {
 			t.Fatalf("workers=%d: unexpected partial", workers)
 		}
@@ -89,7 +95,7 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 	}}}
 	for _, workers := range []int{1, 4} {
 		started.Store(0)
-		res, out := New(workers).Run(ctx, p)
+		res, out := run(ctx, New(workers), p)
 		if res != nil {
 			t.Fatalf("workers=%d: results from a dead context: %v", workers, res)
 		}
@@ -127,7 +133,7 @@ func TestRunDeadlinePartial(t *testing.T) {
 			return nil
 		},
 	}}}
-	res, out := New(1).Run(ctx, p)
+	res, out := run(ctx, New(1), p)
 	if !out.Partial {
 		t.Fatal("outcome not partial after mid-plan expiry")
 	}
@@ -143,7 +149,7 @@ func TestRunDeadlinePartial(t *testing.T) {
 }
 
 func TestRunEmptyPlan(t *testing.T) {
-	res, out := New(4).Run(context.Background(), Plan{K: 3})
+	res, out := run(context.Background(), New(4), Plan{K: 3})
 	if res != nil || out.Partial {
 		t.Fatalf("empty plan: res=%v partial=%v", res, out.Partial)
 	}
@@ -246,7 +252,7 @@ func TestRunStageTimings(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		return []theap.Neighbor{{ID: 0, Dist: 1}}
 	}
-	_, out := New(1).Run(context.Background(), p)
+	_, out := run(context.Background(), New(1), p)
 	if out.Search < 2*time.Millisecond {
 		t.Fatalf("Search stage %v, want >= 2ms", out.Search)
 	}

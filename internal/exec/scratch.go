@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,17 +56,18 @@ type Scratch struct {
 // is retained afterwards.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// scratchPool backs the convenience paths (Executor.Run and the planners'
-// SearchContext methods), which borrow a scratch per query and copy results
-// out before returning it.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
-// GetScratch borrows a pooled scratch for one query. Pair with PutScratch
-// once every slice derived from the scratch has been copied or dropped.
-func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
-
-// PutScratch returns a scratch borrowed with GetScratch to the pool.
-func PutScratch(s *Scratch) { scratchPool.Put(s) }
+// Pooled runs one query body on a pooled scratch and returns a fresh copy
+// of its scratch-aliased results, so the caller owns what it gets back. It
+// is the borrow → run → copy → return sequence behind the pooled Search of
+// every index that plans straight into an exec.Scratch (BSBF, SF, IVF).
+func Pooled(body func(*Scratch) []theap.Neighbor) []theap.Neighbor {
+	scr := scratchPool.Get().(*Scratch)
+	res := slices.Clone(body(scr)) // keeps nil nil
+	scratchPool.Put(scr)
+	return res
+}
 
 // ensure sizes the per-subtask arrays for an n-subtask plan, retaining the
 // result heaps' backing across growth.

@@ -65,8 +65,8 @@ func (ix *Index) Built() int { return ix.built }
 // Metric returns the index metric.
 func (ix *Index) Metric() vec.Metric { return ix.metric }
 
-// TimeAt returns the timestamp of vector id.
-func (ix *Index) TimeAt(id int) int64 { return ix.times[id] }
+// Times exposes the timestamp slice. Read-only.
+func (ix *Index) Times() []int64 { return ix.times }
 
 // Lists returns the number of inverted lists (0 before the first Build).
 func (ix *Index) Lists() int {
@@ -122,87 +122,60 @@ func (ix *Index) Build(seed int64) error {
 // Search returns approximately the k nearest neighbors to q among vectors
 // with timestamps in [ts, te), probing the nprobe nearest inverted lists
 // (plus a brute-force tail scan over unbuilt vectors). Results use global
-// insertion indices and ascending distance order.
+// insertion indices and ascending distance order. It is Query on a pooled
+// scratch, run sequentially, with the results copied out.
 func (ix *Index) Search(q []float32, k int, ts, te int64, nprobe int) []theap.Neighbor {
-	res, _ := ix.SearchContext(context.Background(), q, k, ts, te, nprobe, exec.Executor{Workers: 1})
-	return res
+	return exec.Pooled(func(scr *exec.Scratch) []theap.Neighbor {
+		res, _ := ix.Query(context.Background(), scr, q, k, ts, te, nprobe, exec.Executor{Workers: 1})
+		return res
+	})
 }
 
-// SearchContext answers the query through the shared executor: probed
-// lists scan as independent subtasks across x's worker pool, subtasks
-// never start after ctx is done, and expiry yields partial results tagged
-// in the outcome. It borrows a pooled scratch and copies the results out.
-func (ix *Index) SearchContext(ctx context.Context, q []float32, k int, ts, te int64, nprobe int, x exec.Executor) ([]theap.Neighbor, exec.Outcome) {
-	scr := exec.GetScratch()
+// Query is the one search body: it translates the query into the shared
+// executor's shape and runs it on x. Centroid ranking and per-list window
+// binary searches happen at plan time (the select stage); each probed
+// list's in-window run then scans through the executor's id-list kernel
+// (the inverted list's segment rides along as Subtask.List — no copying),
+// and the unbuilt tail scans as a contiguous range. Lists partition the
+// built ids and the tail is disjoint from them, so the merged result is
+// identical for every worker count. Subtasks never start after ctx is
+// done, and expiry yields partial results tagged in the outcome.
+//
+// Every buffer (centroid ranking and probe storage included) comes from
+// the caller-owned scr; the results and Outcome.Subtasks alias it and are
+// valid until its next query.
+func (ix *Index) Query(ctx context.Context, scr *exec.Scratch, q []float32, k int, ts, te int64, nprobe int, x exec.Executor) ([]theap.Neighbor, exec.Outcome) {
 	planStart := time.Now()
+	k = min(k, ix.store.Len()) // heaps are sized by k; see bsbf.Index.Query
 	plan := exec.Plan{K: k, Query: q, Subtasks: scr.Subtasks[:0]}
 	scr.Entries = scr.Entries[:0]
-	ix.planInto(&plan, scr, q, k, ts, te, nprobe)
+	if k > 0 && ts < te {
+		if ix.centroids != nil && ix.built > 0 {
+			probes := ix.rankCentroidsInto(scr, q, nprobe)
+			for _, c := range probes {
+				list := ix.lists[c]
+				lo := sort.Search(len(list), func(i int) bool { return ix.times[list[i]] >= ts })
+				hi := sort.Search(len(list), func(i int) bool { return ix.times[list[i]] >= te })
+				if lo >= hi {
+					continue
+				}
+				seg := list[lo:hi]
+				plan.Subtasks = append(plan.Subtasks, exec.Subtask{
+					Kind: exec.BruteScan,
+					Lo:   int(seg[0]), Hi: int(seg[len(seg)-1]) + 1,
+					WindowStart: ix.times[seg[0]], WindowEnd: ix.times[seg[len(seg)-1]] + 1,
+					Store: ix.store, Metric: ix.metric, List: seg,
+				})
+			}
+		}
+		// Unbuilt vectors; ids past built are in timestamp order.
+		bsbf.TailScanInto(&plan, ix.store, ix.metric, ix.times, ix.built, ts, te)
+	}
 	scr.Subtasks = plan.Subtasks[:0]
 	planDur := time.Since(planStart)
 	res, out := x.RunScratch(ctx, plan, scr)
-	res = exec.CopyNeighbors(res)
-	out = out.Detach()
-	exec.PutScratch(scr)
 	out.Select = planDur
 	return res, out
-}
-
-// Plan translates the query into the shared executor's shape: centroid
-// ranking and per-list window binary searches happen at plan time (the
-// select stage), then each probed list's in-window run becomes one
-// brute-scan subtask, plus one for the unbuilt tail. Lists partition the
-// built ids and the tail is disjoint from them, so the merged result is
-// identical for every worker count.
-func (ix *Index) Plan(q []float32, k int, ts, te int64, nprobe int) exec.Plan {
-	plan := exec.Plan{K: k, Query: q}
-	if k <= 0 || ts >= te {
-		return plan
-	}
-	ix.planInto(&plan, exec.NewScratch(), q, k, ts, te, nprobe)
-	return plan
-}
-
-// planInto appends the query's subtasks to plan as data-only units: each
-// probed list's in-window run scans through the executor's id-list kernel
-// (the inverted list's segment rides along as Subtask.List — no copying),
-// and the unbuilt tail scans as a contiguous range. scr backs the centroid
-// ranking and probe storage.
-func (ix *Index) planInto(plan *exec.Plan, scr *exec.Scratch, q []float32, k int, ts, te int64, nprobe int) {
-	if k <= 0 || ts >= te {
-		return
-	}
-	if ix.centroids != nil && ix.built > 0 {
-		probes := ix.rankCentroidsInto(scr, q, nprobe)
-		for _, c := range probes {
-			list := ix.lists[c]
-			lo := sort.Search(len(list), func(i int) bool { return ix.times[list[i]] >= ts })
-			hi := sort.Search(len(list), func(i int) bool { return ix.times[list[i]] >= te })
-			if lo >= hi {
-				continue
-			}
-			seg := list[lo:hi]
-			plan.Subtasks = append(plan.Subtasks, exec.Subtask{
-				Kind: exec.BruteScan,
-				Lo:   int(seg[0]), Hi: int(seg[len(seg)-1]) + 1,
-				WindowStart: ix.times[seg[0]], WindowEnd: ix.times[seg[len(seg)-1]] + 1,
-				Store: ix.store, Metric: ix.metric, List: seg,
-			})
-		}
-	}
-	// Tail scan over unbuilt vectors; ids past built are in timestamp
-	// order, so the window is one contiguous run.
-	if tailLo, tailHi := ix.built, ix.store.Len(); tailLo < tailHi {
-		lo, hi := bsbf.WindowOf(ix.times[tailLo:tailHi], ts, te)
-		lo, hi = tailLo+lo, tailLo+hi
-		if lo < hi {
-			plan.Subtasks = append(plan.Subtasks, exec.Subtask{
-				Kind: exec.BruteScan, Lo: lo, Hi: hi,
-				WindowStart: ix.times[lo], WindowEnd: ix.times[hi-1] + 1,
-				Store: ix.store, Metric: ix.metric, ScanLo: lo, ScanHi: hi,
-			})
-		}
-	}
 }
 
 // rankCentroidsInto returns the indices of the nprobe centroids nearest to

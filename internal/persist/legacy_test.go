@@ -3,7 +3,6 @@ package persist
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"math/rand"
 	"testing"
 
@@ -131,8 +130,8 @@ func TestLegacyV2Loads(t *testing.T) {
 		}
 	}
 	q := make([]float32, 6)
-	want, _ := ix.SearchContext(context.Background(), q, 5, 0, 1<<40)
-	have, _ := got.SearchContext(context.Background(), q, 5, 0, 1<<40)
+	want := ix.Search(q, 5, 0, 1<<40)
+	have := got.Search(q, 5, 0, 1<<40)
 	if len(want) != len(have) {
 		t.Fatalf("loaded index found %d results, want %d", len(have), len(want))
 	}
@@ -176,8 +175,8 @@ func TestLegacyV3Loads(t *testing.T) {
 		t.Fatal("test index built no codes")
 	}
 	q := make([]float32, 6)
-	want, _ := ix.SearchContext(context.Background(), q, 5, 0, 1<<40)
-	have, _ := got.SearchContext(context.Background(), q, 5, 0, 1<<40)
+	want := ix.Search(q, 5, 0, 1<<40)
+	have := got.Search(q, 5, 0, 1<<40)
 	if len(want) != len(have) {
 		t.Fatalf("loaded index found %d results, want %d", len(have), len(want))
 	}
@@ -235,8 +234,8 @@ func TestCompressedRoundTrip(t *testing.T) {
 	}
 
 	q := make([]float32, 6)
-	want, _ := ix.SearchContext(context.Background(), q, 5, 0, 1<<40)
-	have, _ := got.SearchContext(context.Background(), q, 5, 0, 1<<40)
+	want := ix.Search(q, 5, 0, 1<<40)
+	have := got.Search(q, 5, 0, 1<<40)
 	for i := range want {
 		if want[i] != have[i] {
 			t.Fatalf("result %d: loaded %v, original %v", i, have[i], want[i])

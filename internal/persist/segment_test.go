@@ -193,7 +193,7 @@ func TestSpilledSnapshotRoundTrip(t *testing.T) {
 		ix := buildSpillMBI(t, dir, 45, compress)
 
 		q := make([]float32, 6)
-		want, _ := ix.SearchContext(context.Background(), q, 5, 0, 1<<40)
+		want := ix.Search(q, 5, 0, 1<<40)
 
 		n, bytesSpilled, err := ix.SpillCold()
 		if err != nil {
@@ -229,7 +229,7 @@ func TestSpilledSnapshotRoundTrip(t *testing.T) {
 
 		// Cold queries on the restored index must match the all-RAM
 		// results bit-for-bit (same entries, same payload bytes).
-		have, out := got.SearchContext(context.Background(), q, 5, 0, 1<<40)
+		have, out := got.Query(context.Background(), core.NewScratch(), core.Request{Q: q, K: 5, Ts: 0, Te: 1 << 40})
 		if out.Partial {
 			t.Fatal("cold query reported Partial")
 		}

@@ -136,8 +136,7 @@ func (s *Server) handleVectors(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req AddRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.error(w, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	switch {
@@ -281,8 +280,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.error(w, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	// The request context flows into the executor: an aborted connection
@@ -408,6 +406,28 @@ func (s *Server) error(w http.ResponseWriter, status int, err error) {
 		s.metrics.clientErrors.Add(1)
 	}
 	httpError(w, status, err)
+}
+
+// maxBodyBytes bounds a request body: without it one client could make
+// the JSON decoder buffer an arbitrarily large value. The largest body the
+// benchmark sends (a 64-vector, dim-128 batch) is ~100 KB.
+const maxBodyBytes = 32 << 20
+
+// decodeBody decodes r's JSON body, at most maxBodyBytes of it, into v.
+// On failure it answers the request — 413 for an oversized body, 400 for a
+// malformed one — and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.error(w, status, fmt.Errorf("decoding body: %w", err))
+	return false
 }
 
 func statusFor(err error) int {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -271,5 +273,70 @@ func TestBatchPartialFailureReportsProgress(t *testing.T) {
 	want := fmt.Sprintf("entry %d (after %d inserted)", 1, 1)
 	if !bytes.Contains(body, []byte(want)) {
 		t.Errorf("error %q does not report progress (%q)", eb.Error, want)
+	}
+}
+
+// spaces is an endless stream of JSON whitespace, so an oversized body
+// never has to exist in the client's memory.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodyIs413: both decoding endpoints stop reading at
+// maxBodyBytes and answer 413, instead of buffering whatever a client
+// sends.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, path := range []string{"/vectors", "/search"} {
+		resp, err := http.Post(ts.URL+path, "application/json", io.LimitReader(spaces{}, maxBodyBytes+1))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var eb errorBody
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
+			t.Errorf("%s: missing error body (%v)", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestHugeKFromTheWire: k arrives unchecked from the JSON body and used to
+// size the result heaps directly, so 2^62 panicked in makeslice — inside
+// an executor worker goroutine when the plan had several subtasks, which
+// took the daemon down. The index clamps k to its vector count, so the
+// answer is the whole window.
+func TestHugeKFromTheWire(t *testing.T) {
+	s, ts := newTestServer(t)
+	s.ix.Internal().SetQueryWorkers(4)
+	batch := make([]AddEntry, 200)
+	for i := range batch {
+		batch[i] = AddEntry{Vector: []float32{float32(i), 1, 0, 0}, Time: int64(i)}
+	}
+	if resp, body := postJSON(t, ts.URL+"/vectors", AddRequest{Batch: batch}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %s", body)
+	}
+	raw := `{"vector":[5,1,0,0],"k":4611686018427387904,"start":20,"end":180}`
+	resp, err := http.Post(ts.URL+"/search", "application/json", strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	var sr SearchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatal(err)
+	}
+	if len(sr.Results) != 160 {
+		t.Errorf("%d results, want the 160 vectors in the window", len(sr.Results))
 	}
 }

@@ -99,80 +99,52 @@ func (ix *Index) Restore(g *graph.CSR, built int) error {
 // with timestamps in [ts, te), ordered by ascending distance, with global
 // insertion indices as IDs. p tunes the Algorithm 2 traversal; rng picks
 // the random entry vertex (line 1) and must not be shared across
-// goroutines.
+// goroutines. It is Query on a pooled scratch, run sequentially, with the
+// results copied out.
 func (ix *Index) Search(q []float32, k int, ts, te int64, p graph.SearchParams, rng *rand.Rand) []theap.Neighbor {
 	var entry int32
 	if ix.g != nil && ix.built > 0 {
 		entry = graph.RandomEntry(rng, ix.built)
 	}
-	res, _ := ix.SearchContext(context.Background(), q, k, ts, te, p, entry, exec.Executor{Workers: 1})
-	return res
+	return exec.Pooled(func(scr *exec.Scratch) []theap.Neighbor {
+		res, _ := ix.Query(context.Background(), scr, q, k, ts, te, p, entry, exec.Executor{Workers: 1})
+		return res
+	})
 }
 
-// SearchContext answers the query through the shared executor. The caller
+// Query is the one search body: it translates the query into the shared
+// executor's shape — one graph subtask over the built prefix (when a graph
+// exists), traversed with the query's time window as its admission filter,
+// plus one brute-scan subtask over the unbuilt tail's in-window run; the
+// two cover disjoint global-id ranges — and runs it on x. The caller
 // supplies the graph entry vertex (drawn at plan time, so results are
-// identical for every worker count) and the executor to run on; subtasks
-// never start after ctx is done and expiry yields partial results tagged
-// in the outcome. It borrows a pooled scratch and copies the results out.
-func (ix *Index) SearchContext(ctx context.Context, q []float32, k int, ts, te int64, p graph.SearchParams, entry int32, x exec.Executor) ([]theap.Neighbor, exec.Outcome) {
-	scr := exec.GetScratch()
+// identical for every worker count); subtasks never start after ctx is
+// done and expiry yields partial results tagged in the outcome.
+//
+// Every buffer comes from the caller-owned scr; the results and
+// Outcome.Subtasks alias it and are valid until its next query.
+func (ix *Index) Query(ctx context.Context, scr *exec.Scratch, q []float32, k int, ts, te int64, p graph.SearchParams, entry int32, x exec.Executor) ([]theap.Neighbor, exec.Outcome) {
 	planStart := time.Now()
+	k = min(k, ix.store.Len()) // heaps are sized by k; see bsbf.Index.Query
 	plan := exec.Plan{K: k, Query: q, Subtasks: scr.Subtasks[:0]}
-	scr.Entries = scr.Entries[:0]
-	ix.planInto(&plan, scr, k, ts, te, p, entry)
+	scr.Entries = append(scr.Entries[:0], entry)
+	if k > 0 && ts < te {
+		if ix.g != nil && ix.built > 0 {
+			plan.Subtasks = append(plan.Subtasks, exec.Subtask{
+				Kind: exec.GraphSearch, Lo: 0, Hi: ix.built,
+				WindowStart: ix.times[0], WindowEnd: ix.times[ix.built-1] + 1,
+				Store: ix.store, Metric: ix.metric,
+				Graph: ix.g, Params: p,
+				Entries: scr.Entries[:1:1],
+				Times:   ix.times[:ix.built], Ts: ts, Te: te,
+			})
+		}
+		// Vectors the graph does not cover yet.
+		bsbf.TailScanInto(&plan, ix.store, ix.metric, ix.times, ix.built, ts, te)
+	}
 	scr.Subtasks = plan.Subtasks[:0]
 	planDur := time.Since(planStart)
 	res, out := x.RunScratch(ctx, plan, scr)
-	res = exec.CopyNeighbors(res)
-	out = out.Detach()
-	exec.PutScratch(scr)
 	out.Select = planDur
 	return res, out
-}
-
-// Plan translates the query into the shared executor's shape: one graph
-// subtask over the built prefix (when a graph exists) plus one brute-scan
-// subtask over the unbuilt tail's in-window run. The two cover disjoint
-// global-id ranges.
-func (ix *Index) Plan(q []float32, k int, ts, te int64, p graph.SearchParams, entry int32) exec.Plan {
-	plan := exec.Plan{K: k, Query: q}
-	if k <= 0 || ts >= te {
-		return plan
-	}
-	ix.planInto(&plan, exec.NewScratch(), k, ts, te, p, entry)
-	return plan
-}
-
-// planInto appends the query's subtasks to plan as data-only units: the
-// executor's graph kernel traverses the built prefix with the query's time
-// window as its admission filter, and the scan kernel covers the unbuilt
-// tail. scr provides the entry-seed backing.
-func (ix *Index) planInto(plan *exec.Plan, scr *exec.Scratch, k int, ts, te int64, p graph.SearchParams, entry int32) {
-	if k <= 0 || ts >= te {
-		return
-	}
-	if ix.g != nil && ix.built > 0 {
-		seed := len(scr.Entries)
-		scr.Entries = append(scr.Entries, entry)
-		plan.Subtasks = append(plan.Subtasks, exec.Subtask{
-			Kind: exec.GraphSearch, Lo: 0, Hi: ix.built,
-			WindowStart: ix.times[0], WindowEnd: ix.times[ix.built-1] + 1,
-			Store: ix.store, Metric: ix.metric,
-			Graph: ix.g, Params: p,
-			Entries: scr.Entries[seed : seed+1 : seed+1],
-			Times:   ix.times[:ix.built], Ts: ts, Te: te,
-		})
-	}
-	// Tail scan over vectors the graph does not cover yet.
-	if tailLo, tailHi := ix.built, ix.store.Len(); tailLo < tailHi {
-		lo, hi := bsbf.WindowOf(ix.times[tailLo:tailHi], ts, te)
-		lo, hi = tailLo+lo, tailLo+hi
-		if lo < hi {
-			plan.Subtasks = append(plan.Subtasks, exec.Subtask{
-				Kind: exec.BruteScan, Lo: lo, Hi: hi,
-				WindowStart: ix.times[lo], WindowEnd: ix.times[hi-1] + 1,
-				Store: ix.store, Metric: ix.metric, ScanLo: lo, ScanHi: hi,
-			})
-		}
-	}
 }

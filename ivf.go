@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/ivf"
+	"repro/internal/theap"
 )
 
 // IVFOptions configures an inverted-file (IVF-Flat) index.
@@ -168,20 +170,14 @@ func (x *IVF) SearchProbes(q Query, nprobe int) ([]Result, error) {
 // SearchDetailed is SearchContext with an explicit probe count, plus stage
 // timings and the Partial flag.
 func (x *IVF) SearchDetailed(ctx context.Context, q Query, nprobe int) ([]Result, SearchInfo, error) {
-	if err := validateQuery(q, x.opts.Dim); err != nil {
-		return nil, SearchInfo{}, err
-	}
 	if nprobe <= 0 {
 		return nil, SearchInfo{}, fmt.Errorf("%w: nprobe = %d", ErrBadQuery, nprobe)
 	}
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	ns, eo := x.inner.SearchContext(ctx, q.Vector, q.K, q.Start, q.End, nprobe, x.x)
-	out := make([]Result, len(ns))
-	for i, n := range ns {
-		out[i] = Result{ID: int(n.ID), Time: timeOfIVF(x.inner, int(n.ID)), Dist: n.Dist}
-	}
-	return out, infoFrom(eo), nil
+	return searchDetailed(q, x.opts.Dim, x.inner.Times, func(scr *core.Scratch) ([]theap.Neighbor, exec.Outcome) {
+		return x.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, nprobe, x.x)
+	})
 }
 
 // SearchBatchContext fans queries across workers goroutines with the same
@@ -197,6 +193,3 @@ func (x *IVF) Len() int {
 	defer x.mu.RUnlock()
 	return x.inner.Len()
 }
-
-// timeOfIVF resolves a result id to its timestamp.
-func timeOfIVF(ix *ivf.Index, id int) int64 { return ix.TimeAt(id) }

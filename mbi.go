@@ -325,19 +325,16 @@ func (m *MBI) SearchContext(ctx context.Context, q Query) ([]Result, error) {
 // SearchDetailed is SearchContext plus execution details: per-stage
 // durations and whether the answer is partial.
 func (m *MBI) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInfo, error) {
-	if err := validateQuery(q, m.opts.Dim); err != nil {
-		return nil, SearchInfo{}, err
-	}
-	var (
-		ns  []theap.Neighbor
-		out exec.Outcome
-	)
-	if m.tauTable != nil {
-		ns, out = m.inner.SearchAutoTauContext(ctx, q.Vector, q.K, q.Start, q.End, m.tauTable, m.inner.Options().Search, nil)
-	} else {
-		ns, out = m.inner.SearchContext(ctx, q.Vector, q.K, q.Start, q.End)
-	}
-	return toResults(ns, m.inner.Times()), infoFrom(out), nil
+	return m.search(ctx, q, nil)
+}
+
+// search runs q through the core index's one query body, with τ from the
+// tuned table once AutoTuneTau has set one; a non-nil explain receives the
+// executed plan.
+func (m *MBI) search(ctx context.Context, q Query, explain *core.Plan) ([]Result, SearchInfo, error) {
+	return searchDetailed(q, m.opts.Dim, m.inner.Times, func(scr *core.Scratch) ([]theap.Neighbor, exec.Outcome) {
+		return m.inner.Query(ctx, scr, core.Request{Q: q.Vector, K: q.K, Ts: q.Start, Te: q.End, TauTable: m.tauTable, Explain: explain})
+	})
 }
 
 // SearchBatch answers many queries, fanning them across workers
@@ -422,14 +419,13 @@ func (m *MBI) Explain(start, end int64) core.Plan { return m.inner.Explain(start
 // SearchExplain answers the query and returns the executed plan: the
 // Explain statics annotated with per-block durations, skip flags, found
 // counts, stage timings, and the Partial flag — EXPLAIN ANALYZE for a
-// TkNN query. It always uses Options.Tau (the tuned table, if any, is
-// not consulted), matching Explain.
+// TkNN query. It explains exactly the query Search runs: after
+// AutoTuneTau, τ comes from the tuned table (Explain, the static form,
+// always uses Options.Tau).
 func (m *MBI) SearchExplain(ctx context.Context, q Query) ([]Result, core.Plan, error) {
-	if err := validateQuery(q, m.opts.Dim); err != nil {
-		return nil, core.Plan{}, err
-	}
-	ns, plan := m.inner.SearchExplainContext(ctx, q.Vector, q.K, q.Start, q.End, m.opts.Tau, m.inner.Options().Search, nil)
-	return toResults(ns, m.inner.Times()), plan, nil
+	var plan core.Plan
+	res, _, err := m.search(ctx, q, &plan)
+	return res, plan, err
 }
 
 // SpillCold writes sealed blocks at or below SpillMaxHeight into their

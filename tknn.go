@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/theap"
 	"repro/internal/vec"
@@ -114,6 +115,22 @@ type SearchInfo struct {
 
 func infoFrom(out exec.Outcome) SearchInfo {
 	return SearchInfo{Partial: out.Partial, Select: out.Select, Search: out.Search, Merge: out.Merge, Rerank: out.Rerank, Fetch: out.Fetch}
+}
+
+// searchDetailed is the one SearchDetailed body behind all four facades:
+// validate the query, borrow a scratch, run the inner index's Query body on
+// it, and convert the scratch-aliased neighbors straight into results —
+// resolved against times, read after the query — before the scratch goes
+// back to its pool. A facade that guards its inner index holds its read
+// lock across the call.
+func searchDetailed(q Query, dim int, times func() []int64, run func(*core.Scratch) ([]theap.Neighbor, exec.Outcome)) ([]Result, SearchInfo, error) {
+	if err := validateQuery(q, dim); err != nil {
+		return nil, SearchInfo{}, err
+	}
+	scr := core.GetScratch()
+	defer core.PutScratch(scr)
+	ns, out := run(scr)
+	return toResults(ns, times()), infoFrom(out), nil
 }
 
 // searchBatchCtx fans queries across workers with first-error-aborts

@@ -3,7 +3,9 @@ package tknn_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	tknn "repro"
@@ -288,5 +290,63 @@ func TestCrossIndexAgreement(t *testing.T) {
 func TestMetricString(t *testing.T) {
 	if tknn.Euclidean.String() != "euclidean" || tknn.Angular.String() != "angular" {
 		t.Error("metric names wrong")
+	}
+}
+
+// TestHugeKClampedToLen: K sizes the result heaps, so an absurd K must be
+// clamped to the index's vector count before it reaches an allocation
+// (math.MaxInt used to panic in makeslice). The clamp cannot change an
+// answer — no query returns more than Len() neighbors — so every facade
+// answers exactly as it does for K = Len().
+func TestHugeKClampedToLen(t *testing.T) {
+	const n, dim = 200, 8
+	vs := randClustered(9, n, dim)
+	mbi, err := tknn.NewMBI(tknn.MBIOptions{Dim: dim, LeafSize: 32, GraphDegree: 8, Epsilon: 1.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := tknn.NewBSBF(dim, tknn.Euclidean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sfIx, err := tknn.NewSF(tknn.SFOptions{Dim: dim, GraphDegree: 8, Epsilon: 1.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ivfIx, err := tknn.NewIVF(tknn.IVFOptions{Dim: dim, Lists: 8, Probes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vs {
+		for _, ix := range []tknn.Index{mbi, bs, sfIx, ivfIx} {
+			if err := ix.Add(v, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sfIx.Build()
+	if err := ivfIx.Build(); err != nil {
+		t.Fatal(err)
+	}
+	const start, end = 30, 170
+	for _, c := range []struct {
+		name  string
+		ix    tknn.Index
+		exact bool // answers the whole window when K allows
+	}{{"mbi", mbi, false}, {"bsbf", bs, true}, {"sf", sfIx, false}, {"ivf", ivfIx, true}} {
+		want, err := c.ix.Search(tknn.Query{Vector: vs[77], K: n, Start: start, End: end})
+		if err != nil {
+			t.Fatalf("%s K=Len: %v", c.name, err)
+		}
+		got, err := c.ix.Search(tknn.Query{Vector: vs[77], K: math.MaxInt, Start: start, End: end})
+		if err != nil {
+			t.Fatalf("%s K=MaxInt: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: K=MaxInt answer differs from K=Len()", c.name)
+		}
+		if len(got) == 0 || len(got) > end-start || (c.exact && len(got) != end-start) {
+			t.Errorf("%s: %d results for a %d-vector window", c.name, len(got), end-start)
+		}
 	}
 }
