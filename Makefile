@@ -8,9 +8,9 @@ GO ?= go
 # so it runs here and nowhere else.
 RACE_PKGS = ./internal/core/ ./internal/exec/ ./internal/server/ ./internal/client/ ./internal/nndescent/ ./internal/wal/ ./internal/graph/ ./internal/theap/ ./internal/sq/ ./internal/fault/ ./internal/blockcache/
 
-.PHONY: check fmt vet build test race lint lockgraph lockgraph-check invariants faults recover bench-exec bench-sq bench-tier bench-chaos allocs-gate loc
+.PHONY: check fmt vet build test race purego lint lockgraph lockgraph-check invariants faults recover bench-exec bench-sq bench-tier bench-chaos allocs-gate loc
 
-check: fmt vet build test race lint lockgraph-check invariants faults recover
+check: fmt vet build test race purego lint lockgraph-check invariants faults recover
 
 # The tknnlint corpus under cmd/tknnlint/testdata is lint-rule input, not
 # repository code; its formatting is frozen with its goldens.
@@ -31,6 +31,18 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# The pure-Go distance kernels (internal/vec/kernel.go) are what runs without
+# AVX2 and on every other GOARCH, and the assembly's differential reference:
+# the packages whose results depend on the kernel's bits (goldens, oracle,
+# async-vs-sync) must pass on them too, and the arm64 cross-build keeps the
+# fallback file compiling.
+PUREGO_PKGS = . ./internal/vec ./internal/graph ./internal/nndescent ./internal/persist ./internal/oracle ./internal/core
+
+purego:
+	$(GO) test -tags purego $(PUREGO_PKGS)
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/vec
 
 lint:
 	$(GO) run ./cmd/tknnlint ./...

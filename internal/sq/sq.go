@@ -257,7 +257,7 @@ func (c *Codes) LUTDist(metric vec.Metric, lut []float32, qNorm float32, i int) 
 }
 
 // lutSum is the asymmetric inner loop: one table load and one add per
-// coordinate, 4-wide unrolled like vec's kernels.
+// coordinate, 4-wide unrolled.
 //
 //tknn:hotpath
 func lutSum(lut []float32, row []uint8) float32 {

@@ -56,41 +56,25 @@ func ParseMetric(s string) (Metric, error) {
 }
 
 // Dot returns the inner product of a and b. The slices must have equal
-// length; this is the caller's responsibility (hot path, not re-checked).
+// length; this is the caller's responsibility. A b whose backing array ends
+// before len(a) panics here, in Go, before any kernel reads memory.
 func Dot(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+	b = b[:len(a)]
+	if hasAVX2 {
+		return dotAVX2(a, b)
 	}
-	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
-	}
-	return s0 + s1 + s2 + s3
+	return dotGo(a, b)
 }
 
-// SquaredL2 returns the squared Euclidean distance between a and b.
+// SquaredL2 returns the squared Euclidean distance between a and b, under
+// the same length contract as Dot. The assembly and the Go kernel return
+// the same bits, so which one ran is not observable in any result.
 func SquaredL2(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+	b = b[:len(a)]
+	if hasAVX2 {
+		return squaredL2AVX2(a, b)
 	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
-		s0 += d * d
-	}
-	return s0 + s1 + s2 + s3
+	return squaredL2Go(a, b)
 }
 
 // SquaredNorm returns the squared L2 norm of a.

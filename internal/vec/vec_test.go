@@ -82,8 +82,9 @@ func TestSquaredL2KnownValues(t *testing.T) {
 	}
 }
 
-// TestDistanceAgainstFloat64 cross-checks the unrolled float32 kernels
-// against a straightforward float64 computation.
+// TestDistanceAgainstFloat64 cross-checks the float32 kernels (whichever
+// of the assembly and the Go twin this build dispatches to) against a
+// straightforward float64 computation.
 func TestDistanceAgainstFloat64(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -291,5 +292,34 @@ func TestStoreNewStoreCap(t *testing.T) {
 	}
 	if s.Len() != 1 {
 		t.Errorf("Len = %d, want 1", s.Len())
+	}
+}
+
+// TestViewDistUsesCachedNorms: View.Dist reads both norms from the store's
+// cache and must return exactly what Distance computes from scratch, zero
+// vectors (distance 1 to everything, themselves included) among them.
+func TestViewDistUsesCachedNorms(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const dim, n = 37, 24
+	s := NewStore(dim)
+	for i := 0; i < n; i++ {
+		v := randVec(rng, dim)
+		if i%8 == 3 {
+			v = make([]float32, dim)
+		}
+		if _, err := s.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range []Metric{Euclidean, Angular} {
+		v := View{Store: s, Lo: 2, Hi: n, Metric: m}
+		for i := 0; i < v.Len(); i++ {
+			for j := 0; j < v.Len(); j++ {
+				got, want := v.Dist(i, j), Distance(m, v.At(i), v.At(j))
+				if math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("%v Dist(%d, %d) = %g, Distance = %g", m, i, j, got, want)
+				}
+			}
+		}
 	}
 }
