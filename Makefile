@@ -8,9 +8,9 @@ GO ?= go
 # so it runs here and nowhere else.
 RACE_PKGS = ./internal/core/ ./internal/exec/ ./internal/server/ ./internal/client/ ./internal/nndescent/ ./internal/wal/ ./internal/graph/ ./internal/theap/ ./internal/sq/ ./internal/fault/ ./internal/blockcache/
 
-.PHONY: check fmt vet build test race purego lint lockgraph lockgraph-check invariants faults recover bench-exec bench-sq bench-tier bench-chaos allocs-gate loc
+.PHONY: check fmt vet build test race purego lint lockgraph lockgraph-check invariants faults recover oneproc bench-sq bench-tier bench-chaos allocs-gate loc
 
-check: fmt vet build test race purego lint lockgraph-check invariants faults recover
+check: fmt vet build test race purego lint lockgraph-check invariants faults recover oneproc
 
 # The tknnlint corpus under cmd/tknnlint/testdata is lint-rule input, not
 # repository code; its formatting is frozen with its goldens.
@@ -78,11 +78,15 @@ recover:
 	$(GO) test -count=1 -run 'Crash|Recovery|TornTail|Fuzz' ./internal/wal/
 	$(GO) test -race ./internal/wal/...
 
-# Executor perf trajectory: sequential vs parallel intra-query execution at
-# 1/4/16 selected blocks, with result equivalence asserted. Writes
-# BENCH_exec.json.
-bench-exec:
-	$(GO) run ./cmd/mbibench exec
+# The width-1 schedules of exec.Run (the inline loop, runSeqCold) are
+# selected by GOMAXPROCS alone, so on a multi-core host only the tests that
+# lower it themselves reach them: run the packages that plan or execute
+# queries with one proc (-count=1: the test cache does not key on
+# GOMAXPROCS).
+ONEPROC_PKGS = . ./internal/exec ./internal/core ./internal/bsbf ./internal/sf ./internal/ivf ./internal/server
+
+oneproc:
+	GOMAXPROCS=1 $(GO) test -count=1 $(ONEPROC_PKGS)
 
 # SQ8 compression benchmark: bytes/vector and memory reduction,
 # compressed scan throughput, ns/distance for the asymmetric kernel, and
@@ -107,9 +111,9 @@ bench-tier:
 bench-chaos:
 	$(GO) run -tags tknn_fault ./cmd/mbibench chaos
 
-# Allocation gate: a warmed-up sequential Query (the one search body of
-# core and bsbf) must perform zero heap allocations
-# (testing.AllocsPerRun). CI runs this alongside the full suite; the tests
+# Allocation gate: a warmed-up Query (the one search body of core and
+# bsbf) at GOMAXPROCS 1 — where testing.AllocsPerRun measures — must
+# perform zero heap allocations. CI runs this alongside the full suite; the tests
 # skip themselves under -race and -tags tknn_invariants, where the runtime
 # itself allocates.
 allocs-gate:

@@ -21,7 +21,6 @@ type BSBF struct {
 	dim   int
 	inner *bsbf.Index
 	mu    sync.RWMutex
-	x     exec.Executor
 }
 
 // NewBSBF creates an empty BSBF index.
@@ -68,15 +67,7 @@ func NewBSBFWithOptions(opts BSBFOptions) (*BSBF, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BSBF{dim: opts.Dim, inner: inner, x: exec.New(0)}, nil
-}
-
-// SetQueryWorkers rebounds the intra-query scan pool: n <= 0 defaults to
-// GOMAXPROCS, n == 1 scans sequentially.
-func (b *BSBF) SetQueryWorkers(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.x = exec.New(n)
+	return &BSBF{dim: opts.Dim, inner: inner}, nil
 }
 
 // Add implements Index.
@@ -87,7 +78,7 @@ func (b *BSBF) Add(v []float32, t int64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if err := b.inner.Append(v, t); err != nil {
-		return fmt.Errorf("%w: %v", ErrTimestampOrder, err)
+		return addError(err)
 	}
 	return nil
 }
@@ -98,7 +89,7 @@ func (b *BSBF) Search(q Query) ([]Result, error) {
 }
 
 // SearchContext is Search through the shared executor: the window's scan
-// chunks run across the query-worker pool, and a done context yields the
+// chunks run across exec.Run's workers, and a done context yields the
 // best neighbors of the chunks that ran (a partial answer, not an error).
 func (b *BSBF) SearchContext(ctx context.Context, q Query) ([]Result, error) {
 	res, _, err := b.SearchDetailed(ctx, q)
@@ -110,7 +101,7 @@ func (b *BSBF) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInf
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return searchDetailed(q, b.dim, b.inner.TimesRef, func(scr *core.Scratch) ([]theap.Neighbor, exec.Outcome) {
-		return b.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, b.x)
+		return b.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End)
 	})
 }
 
@@ -196,7 +187,6 @@ type SF struct {
 	// searches share no state — unlike the old mutex-guarded rand.Rand —
 	// and the same query deterministically walks from the same entry.
 	entrySalt uint64
-	x         exec.Executor
 }
 
 // NewSF creates an empty SF index.
@@ -213,7 +203,6 @@ func NewSF(opts SFOptions) (*SF, error) {
 		opts:      opts,
 		inner:     sf.New(opts.Dim, opts.Metric.internal(), builder),
 		entrySalt: uint64(opts.Seed) ^ 0x7366,
-		x:         exec.New(0),
 	}, nil
 }
 
@@ -229,7 +218,7 @@ func (s *SF) Add(v []float32, t int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.inner.Append(v, t); err != nil {
-		return fmt.Errorf("%w: %v", ErrTimestampOrder, err)
+		return addError(err)
 	}
 	s.sinceBuild++
 	if s.opts.RebuildEvery > 0 && s.sinceBuild >= s.opts.RebuildEvery {
@@ -283,7 +272,7 @@ func (s *SF) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInfo,
 			entry = int32(ent.Intn(built))
 		}
 		p := graph.SearchParams{MC: s.opts.MaxCandidates, Eps: float32(s.opts.Epsilon)}
-		return s.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, p, entry, s.x)
+		return s.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, p, entry)
 	})
 }
 
@@ -331,7 +320,6 @@ func LoadSF(r io.Reader, opts SFOptions) (*SF, error) {
 		opts:      opts,
 		inner:     inner,
 		entrySalt: uint64(opts.Seed) ^ 0x7366,
-		x:         exec.New(0),
 	}, nil
 }
 

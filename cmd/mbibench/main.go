@@ -20,8 +20,6 @@
 //	ivf       quantization-family comparator (IVF-Flat vs SF vs MBI)
 //	async     insert-latency profile: synchronous vs background merging
 //	wal       ingestion throughput: no WAL vs fsync=interval vs fsync=always
-//	exec      intra-query executor: sequential vs parallel at 1/4/16
-//	          selected blocks (writes BENCH_exec.json; see -out)
 //	sq        SQ8 compression: bytes/vector, asymmetric-kernel scan
 //	          throughput, recall vs flat at rerank factors 1/2/4 on
 //	          drifting clusters (writes BENCH_sq.json)
@@ -140,10 +138,6 @@ func run(args []string) error {
 		bench.AsyncMergeExperiment(cfg, w)
 	case "wal":
 		bench.WALExperiment(cfg, w)
-	case "exec":
-		if _, err := bench.ExecExperiment(cfg, w, outPath("BENCH_exec.json")); err != nil {
-			return err
-		}
 	case "sq":
 		if _, err := bench.SQExperiment(cfg, w, outPath("BENCH_sq.json")); err != nil {
 			return err
@@ -174,9 +168,6 @@ func run(args []string) error {
 		bench.IVFExperiment(cfg, profiles, w)
 		bench.AsyncMergeExperiment(cfg, w)
 		bench.WALExperiment(cfg, w)
-		if _, err := bench.ExecExperiment(cfg, w, outPath("BENCH_exec.json")); err != nil {
-			return err
-		}
 		if _, err := bench.SQExperiment(cfg, w, outPath("BENCH_sq.json")); err != nil {
 			return err
 		}

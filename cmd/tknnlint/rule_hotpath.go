@@ -12,8 +12,8 @@ import (
 // The query hot path — everything between a search entry point and its
 // merged result — is supposed to perform zero steady-state heap
 // allocations: per-query state lives in reusable Scratch buffers, and the
-// allocation gate (internal/bench, `go test -run AllocGate`) measures
-// exactly that. Allocation bugs regress silently: the code stays correct,
+// allocation gate (`make allocs-gate`: TestQueryZeroAllocs in
+// internal/core and internal/bsbf) measures exactly that. Allocation bugs regress silently: the code stays correct,
 // only the profile rots. These rules make the property structural.
 //
 // A function is *hot* when its declaration carries the

@@ -196,40 +196,6 @@ func TestAblationSmoke(t *testing.T) {
 	}
 }
 
-func TestExecExperimentSmoke(t *testing.T) {
-	c := tinyConfig()
-	c.QueriesPerPoint = 10
-	var buf bytes.Buffer
-	report, err := ExecExperiment(c, &buf, "") // no JSON at smoke scale
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The 128-leaf smoke tree cannot decompose into 16 pieces, but 1- and
-	// 4-block windows must exist.
-	if len(report.Points) < 2 {
-		t.Fatalf("%d points, want at least the 1- and 4-block windows", len(report.Points))
-	}
-	wantBlocks := []int{1, 4}
-	for i, want := range wantBlocks {
-		p := report.Points[i]
-		if p.Blocks != want {
-			t.Errorf("point %d: %d blocks, want %d", i, p.Blocks, want)
-		}
-		if !p.Equivalent {
-			t.Errorf("%d-block window: sequential and parallel results differ", p.Blocks)
-		}
-		if p.SeqSeconds <= 0 || p.ParSeconds <= 0 {
-			t.Errorf("%d-block window: non-positive latency %+v", p.Blocks, p)
-		}
-		if want > 1 && p.IdealSpeedup <= 1 {
-			t.Errorf("%d-block window: ideal speedup %.2f not > 1", p.Blocks, p.IdealSpeedup)
-		}
-	}
-	if !strings.Contains(buf.String(), "Exec experiment") {
-		t.Error("missing banner")
-	}
-}
-
 func TestQPSAtRecallExactShortCircuit(t *testing.T) {
 	c := tinyConfig()
 	p := tinyProfiles(t)[0]

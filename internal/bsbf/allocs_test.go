@@ -15,13 +15,14 @@ import (
 )
 
 // TestQueryZeroAllocs is the allocation gate on the baseline query path:
-// after warmup, a sequential Query — window binary search, chunked brute
+// after warmup, an inline Query — window binary search, chunked brute
 // scan, and merge — must not touch the heap. The plan, per-chunk heaps,
 // merge storage, and the results all live in the caller-owned
 // exec.Scratch.
 //
-// Workers=1 keeps execution on the caller's goroutine; parallel fan-out
-// allocates goroutine bookkeeping that the gate deliberately excludes.
+// testing.AllocsPerRun measures at GOMAXPROCS 1, which keeps execution on
+// the caller's goroutine; the claim workers allocate goroutine bookkeeping
+// that the gate deliberately excludes.
 // Race builds skip via the build tag — the race runtime allocates.
 func TestQueryZeroAllocs(t *testing.T) {
 	if invariant.Enabled {
@@ -47,18 +48,17 @@ func TestQueryZeroAllocs(t *testing.T) {
 	ctx := context.Background()
 	scr := exec.NewScratch()
 	var res []theap.Neighbor
-	x := exec.Executor{Workers: 1}
 	const k, ts, te = 10, 100, 900
 
 	for i := 0; i < 8; i++ {
-		res, _ = ix.Query(ctx, scr, q, k, ts, te, x)
+		res, _ = ix.Query(ctx, scr, q, k, ts, te)
 	}
 	if len(res) != k {
 		t.Fatalf("warmup query returned %d results, want %d", len(res), k)
 	}
 
 	allocs := testing.AllocsPerRun(100, func() {
-		res, _ = ix.Query(ctx, scr, q, k, ts, te, x)
+		res, _ = ix.Query(ctx, scr, q, k, ts, te)
 	})
 	if allocs != 0 {
 		t.Errorf("Query allocates %.1f times per query, want 0", allocs)
@@ -98,18 +98,17 @@ func TestQueryCompressedZeroAllocs(t *testing.T) {
 	ctx := context.Background()
 	scr := exec.NewScratch()
 	var res []theap.Neighbor
-	x := exec.Executor{Workers: 1}
 	const k, ts, te = 10, 100, 900 // spans several sealed chunks mid-chunk
 
 	for i := 0; i < 8; i++ {
-		res, _ = ix.Query(ctx, scr, q, k, ts, te, x)
+		res, _ = ix.Query(ctx, scr, q, k, ts, te)
 	}
 	if len(res) != k {
 		t.Fatalf("warmup query returned %d results, want %d", len(res), k)
 	}
 
 	allocs := testing.AllocsPerRun(100, func() {
-		res, _ = ix.Query(ctx, scr, q, k, ts, te, x)
+		res, _ = ix.Query(ctx, scr, q, k, ts, te)
 	})
 	if allocs != 0 {
 		t.Errorf("compressed Query allocates %.1f times per query, want 0", allocs)

@@ -115,11 +115,11 @@ func lowerBound(times []int64, t int64) int {
 // Search returns the exact k nearest neighbors to q among vectors with
 // timestamps in [ts, te), ordered by ascending distance. Returned IDs are
 // global insertion indices. Fewer than k results are returned when the
-// window holds fewer than k vectors. It is Query on a pooled scratch, run
-// sequentially, with the results copied out.
+// window holds fewer than k vectors. It is Query on a pooled scratch with
+// the results copied out.
 func (ix *Index) Search(q []float32, k int, ts, te int64) []theap.Neighbor {
 	return exec.Pooled(func(scr *exec.Scratch) []theap.Neighbor {
-		res, _ := ix.Query(context.Background(), scr, q, k, ts, te, exec.Executor{Workers: 1})
+		res, _ := ix.Query(context.Background(), scr, q, k, ts, te)
 		return res
 	})
 }
@@ -127,17 +127,17 @@ func (ix *Index) Search(q []float32, k int, ts, te int64) []theap.Neighbor {
 // Query is the one search body: it translates the query into the shared
 // executor's shape — the binary-searched window split into fixed-size scan
 // chunks (compressed where sealed), so a long window can be scanned by
-// several of x's workers and merged; chunks cover disjoint id ranges, so
-// the merged result is identical for every worker count — and runs it.
+// several of exec.Run's workers and merged; chunks cover disjoint id ranges,
+// so the merged result is identical at every GOMAXPROCS — and runs it.
 // Subtasks never start after ctx is done, and expiry yields partial
 // results tagged in the outcome.
 //
 // The plan, heaps, and merge storage come from the caller-owned scr; the
 // results and Outcome.Subtasks alias it and are valid until its next
-// query. A warmed-up sequential query performs zero heap allocations.
+// query. A warmed-up query at GOMAXPROCS 1 performs zero heap allocations.
 //
 //tknn:hotpath
-func (ix *Index) Query(ctx context.Context, scr *exec.Scratch, q []float32, k int, ts, te int64, x exec.Executor) ([]theap.Neighbor, exec.Outcome) {
+func (ix *Index) Query(ctx context.Context, scr *exec.Scratch, q []float32, k int, ts, te int64) ([]theap.Neighbor, exec.Outcome) {
 	planStart := time.Now()
 	// No query can return more than Len() neighbors, and the heaps are
 	// sized by k: an absurd k from the wire must not size an allocation.
@@ -153,7 +153,7 @@ func (ix *Index) Query(ctx context.Context, scr *exec.Scratch, q []float32, k in
 	}
 	scr.Subtasks = plan.Subtasks[:0]
 	planDur := time.Since(planStart)
-	res, out := x.RunScratch(ctx, plan, scr)
+	res, out := exec.Run(ctx, plan, scr)
 	out.Select = planDur
 	return res, out
 }

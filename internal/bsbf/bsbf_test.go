@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -223,6 +224,15 @@ func BenchmarkSearchWide(b *testing.B) {
 	}
 }
 
+// setProcs pins GOMAXPROCS — all that exec.Run's width depends on besides
+// the plan — until the test ends. The setting is process-wide: never call
+// it under t.Parallel.
+func setProcs(t testing.TB, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestQueryIsTheOneBody: the pooled Search and a caller-owned-scratch
 // Query — warm or fresh, on one worker or four — are one body and return
 // bit-identical neighbors, on a flat index whose windows span several scan
@@ -253,12 +263,12 @@ func TestQueryIsTheOneBody(t *testing.T) {
 				t.Fatalf("%s %v: no results", name, win)
 			}
 			for _, workers := range []int{1, 4} {
-				x := exec.Executor{Workers: workers}
-				got, out := ix.Query(ctx, warm, q, 10, win[0], win[1], x)
+				setProcs(t, workers)
+				got, out := ix.Query(ctx, warm, q, 10, win[0], win[1])
 				if out.Partial || !reflect.DeepEqual(got, want) {
 					t.Errorf("%s %v workers=%d warm scratch: partial=%v\n got %v\nwant %v", name, win, workers, out.Partial, got, want)
 				}
-				got, _ = ix.Query(ctx, exec.NewScratch(), q, 10, win[0], win[1], x)
+				got, _ = ix.Query(ctx, exec.NewScratch(), q, 10, win[0], win[1])
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s %v workers=%d fresh scratch:\n got %v\nwant %v", name, win, workers, got, want)
 				}

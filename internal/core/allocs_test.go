@@ -13,22 +13,21 @@ import (
 )
 
 // TestQueryZeroAllocs is the allocation gate on the MBI query path: after
-// warmup, a sequential Query — block selection, entry seeding, graph
+// warmup, an inline Query — block selection, entry seeding, graph
 // search, brute scan, and merge — must not touch the heap. Every buffer
 // comes from the caller-owned Scratch, so any regression here means a
 // per-query allocation crept back into the hot path.
 //
-// The gate runs with QueryWorkers=1: parallel fan-out spawns goroutines,
-// whose stacks the accounting would charge to the query. The file is
+// testing.AllocsPerRun measures at GOMAXPROCS 1, so the gate is on the
+// inline schedule: the claim workers spawn goroutines, whose stacks the
+// accounting would charge to the query. The file is
 // excluded from race builds for the same reason — the race runtime
 // instruments allocations of its own.
 func TestQueryZeroAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant assertions allocate inside guarded blocks")
 	}
-	opts := testOptions(16)
-	opts.QueryWorkers = 1
-	ix, err := New(opts)
+	ix, err := New(testOptions(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,6 @@ func TestQueryCompressedZeroAllocs(t *testing.T) {
 		t.Skip("invariant assertions allocate inside guarded blocks")
 	}
 	opts := testOptions(16)
-	opts.QueryWorkers = 1
 	opts.Compression = sq.SQ8
 	opts.RerankFactor = 4
 	ix, err := New(opts)

@@ -64,11 +64,6 @@ type Options struct {
 	// during a merge cascade (§4.2 "Parallelization of MBI").
 	// Zero or one means build sequentially.
 	Workers int
-	// QueryWorkers bounds the goroutines one query may use to search its
-	// selected blocks in parallel (the intra-query dimension of "Data
-	// Series Indexing Gone Parallel"). Zero defaults to GOMAXPROCS; one
-	// runs the plan sequentially on the calling goroutine.
-	QueryWorkers int
 	// AsyncMerge moves leaf sealing and bottom-up block merging to a
 	// background worker so Append never blocks on graph construction.
 	// Sealed-but-unbuilt vectors are answered by brute force until their
@@ -119,9 +114,6 @@ func (o *Options) Validate() error {
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("mbi: Workers must be non-negative, got %d", o.Workers)
-	}
-	if o.QueryWorkers < 0 {
-		return fmt.Errorf("mbi: QueryWorkers must be non-negative, got %d", o.QueryWorkers)
 	}
 	if !o.Compression.Valid() {
 		return fmt.Errorf("mbi: invalid compression kind %d", o.Compression)
@@ -202,8 +194,6 @@ type Index struct {
 	// deterministic where the old mutex-guarded rand.Rand made them depend
 	// on call order.
 	entrySalt uint64
-	//tknn:guardedBy(mu)
-	executor exec.Executor
 
 	// cache pages spilled block payloads back from segment files; nil
 	// unless Options.Spill is set. The pointer is read at plan time under
@@ -227,32 +217,18 @@ func New(opts Options) (*Index, error) {
 		opts:  opts,
 		store: vec.NewStore(opts.Dim),
 	}
-	ix.entrySalt, ix.executor = queryState(opts)
+	ix.entrySalt = entrySalt(opts)
 	ix.cache = newBlockCache(opts)
 	ix.startMergeWorker()
 	return ix, nil
 }
 
-// queryState derives the runtime pieces New and Restore share: the
-// entry-point salt (derived from the seed, distinctly from builds) and the
-// intra-query executor. Per-query searcher and buffer state lives in
-// Scratch, not the index. It is a free function so both constructors can
-// assign the results into a still-private Index before publishing it.
-func queryState(opts Options) (uint64, exec.Executor) {
-	return uint64(opts.Seed) ^ 0x6d6269, exec.New(opts.QueryWorkers)
-}
+// entrySalt derives the entry-point salt New and Restore share from the
+// seed, distinctly from builds.
+func entrySalt(opts Options) uint64 { return uint64(opts.Seed) ^ 0x6d6269 }
 
 // Options returns the index configuration.
 func (ix *Index) Options() Options { return ix.opts }
-
-// SetQueryWorkers rebounds the intra-query worker pool: n <= 0 defaults to
-// GOMAXPROCS, n == 1 runs plans sequentially. Exposed so benchmarks and
-// tests can compare execution modes on one index.
-func (ix *Index) SetQueryWorkers(n int) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.executor = exec.New(n)
-}
 
 // Len returns the number of indexed vectors.
 func (ix *Index) Len() int {
@@ -584,7 +560,7 @@ func (ix *Index) Query(ctx context.Context, scr *Scratch, req Request) ([]theap.
 		p = ix.opts.Search
 	}
 	plan, sel, selDur := ix.planTimedLocked(scr, req.Q, k, req.Ts, req.Te, tau, p, req.Rng)
-	res, out := ix.executor.RunScratch(ctx, plan, &scr.ex)
+	res, out := exec.Run(ctx, plan, &scr.ex)
 	out.Select = selDur
 	if req.Explain != nil {
 		ix.explainExecutedLocked(req.Explain, sel, out)

@@ -42,7 +42,7 @@ func execTestIndex(t *testing.T) (*Index, [][]float32) {
 
 // TestSearchEquivalentAcrossWorkerCounts is the plan/execute split's core
 // promise: entry seeds are drawn at plan time and subtasks cover disjoint
-// id ranges, so the merged result is identical for every worker count.
+// id ranges, so the merged result is identical at every GOMAXPROCS.
 func TestSearchEquivalentAcrossWorkerCounts(t *testing.T) {
 	ix, vs := execTestIndex(t)
 	windows := [][2]int64{{0, 300}, {10, 290}, {64, 200}, {250, 300}, {0, 40}}
@@ -52,7 +52,7 @@ func TestSearchEquivalentAcrossWorkerCounts(t *testing.T) {
 	}
 	want := map[key][]int32{}
 	for _, workers := range []int{1, 2, 4, 16} {
-		ix.SetQueryWorkers(workers)
+		setProcs(t, workers)
 		for qi := 0; qi < 20; qi++ {
 			q := vs[qi*13]
 			for wi, win := range windows {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/bsbf"
@@ -11,6 +12,15 @@ import (
 	"repro/internal/graph"
 	"repro/internal/theap"
 )
+
+// setProcs pins GOMAXPROCS — all that exec.Run's width depends on besides
+// the plan — until the test ends. The setting is process-wide: never call
+// it under t.Parallel.
+func setProcs(t testing.TB, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // queryCtx runs req through the one search body on a fresh scratch, so the
 // returned neighbors and Outcome.Subtasks stay valid for the rest of the

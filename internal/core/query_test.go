@@ -86,7 +86,7 @@ func TestQueryIsTheOneBody(t *testing.T) {
 			base := Request{Q: vs[(qi*53+int(ts))%len(vs)], K: k, Ts: ts, Te: te}
 			var wantDefault, wantSeeded, wantTable []theap.Neighbor
 			for _, workers := range []int{1, 4} {
-				ix.SetQueryWorkers(workers)
+				setProcs(t, workers)
 
 				// Every default, left zero or written out.
 				def := run(base)

@@ -261,7 +261,7 @@ func Restore(opts Options, store *vec.Store, times []int64, blocks []Block, fore
 		forest: forest,
 		openLo: openLo,
 	}
-	ix.entrySalt, ix.executor = queryState(opts)
+	ix.entrySalt = entrySalt(opts)
 	ix.cache = newBlockCache(opts)
 	if err := ix.CheckInvariants(); err != nil {
 		return nil, err

@@ -6,7 +6,7 @@
 // SF, and IVF each act as a *planner*: they translate a query into a Plan,
 // and this package owns everything downstream of planning:
 //
-//   - running subtasks across a bounded worker pool (intra-query
+//   - running subtasks across up to GOMAXPROCS goroutines (intra-query
 //     parallelism over independent blocks, the dimension "Data Series
 //     Indexing Gone Parallel" identifies as where the latency wins are);
 //   - honoring context.Context cancellation and deadlines — a subtask is
@@ -16,8 +16,8 @@
 //   - reporting per-subtask and per-stage timings for Explain plans,
 //     server responses, and metrics.
 //
-// Callers typically hold their index's read lock across RunScratch; the
-// executor always joins its workers before returning, so data guarded by
+// Callers typically hold their index's read lock across Run, which
+// always joins its workers before returning, so data guarded by
 // that lock is never touched after it returns (no goroutine outlives the
 // call even when the context fires — at worst it waits for in-flight
 // subtasks to finish while skipping the rest).
@@ -141,7 +141,7 @@ type Subtask struct {
 }
 
 // Plan is an ordered list of subtasks answering one query for K results.
-// Planners produce it; the Executor consumes it.
+// Planners produce it; Run consumes it.
 type Plan struct {
 	// K is the result count the merged answer is capped at.
 	K int
@@ -205,44 +205,35 @@ type Outcome struct {
 	Subtasks []SubtaskResult
 }
 
-// Executor runs plans across a bounded worker pool. The zero value is
-// valid and runs sequentially; construct with New to default to one
-// worker per CPU. Executors are stateless and safe for concurrent use.
-type Executor struct {
-	// Workers bounds the goroutines one RunScratch may use. Values <= 1 run the
-	// plan sequentially on the calling goroutine.
-	Workers int
-}
-
-// New returns an executor with the given parallelism; workers <= 0
-// defaults to GOMAXPROCS.
-func New(workers int) Executor {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return Executor{Workers: workers}
-}
-
-// RunScratch executes the plan and merges the per-subtask lists into the
-// final top-K. Subtasks never start after ctx is done; in-flight subtasks
-// are always joined before it returns, so at worst cancellation latency is
-// one subtask's duration. When any subtask was skipped the outcome is
-// tagged Partial and the merged results cover only what ran — partial
-// answers instead of errors, because a late result set is still useful to
-// a serving tier while a failed query is not.
+// Run executes the plan and merges the per-subtask lists into the final
+// top-K. Subtasks never start after ctx is done; in-flight subtasks are
+// always joined before it returns, so at worst cancellation latency is one
+// subtask's duration. When any subtask was skipped the outcome is tagged
+// Partial and the merged results cover only what ran — partial answers
+// instead of errors, because a late result set is still useful to a
+// serving tier while a failed query is not.
+//
+// The width — how many goroutines search the plan's blocks — is not a
+// setting: a plan of one subtask runs on the calling goroutine, any other
+// on min(len(p.Subtasks), GOMAXPROCS) of them. Three schedules follow from
+// what Run can observe. Width 1 and every subtask resident: the inline
+// loop. Width 1 and a cold subtask: runSeqCold, which overlaps the page-ins
+// with the hot kernels. Width >= 2: that many claim workers, each fetching
+// its own cold subtasks inline. Results are identical on all three
+// (entries are fixed at plan time, the merge orders by (Dist, ID)).
 //
 // All per-query state is caller-owned: the per-subtask result heaps, the
 // merge buffer, the returned neighbor slice, and Outcome.Subtasks live in
-// scr and stay valid only until scr's next query. A warmed-up sequential
-// run (Workers <= 1) performs zero heap allocations; parallel runs pay only
-// the inherent goroutine fan-out.
+// scr and stay valid only until scr's next query. A warmed-up inline run
+// performs zero heap allocations; the other two schedules pay only their
+// goroutine fan-out.
 //
 //tknn:hotpath
-func (e Executor) RunScratch(ctx context.Context, p Plan, scr *Scratch) ([]theap.Neighbor, Outcome) {
-	// The parallel branch hands the plan to worker goroutines by pointer,
-	// which would force the p parameter itself to escape — one heap copy
-	// per query, even sequentially. Parking the copy in the heap-resident
-	// scratch keeps the sequential path allocation-free.
+func Run(ctx context.Context, p Plan, scr *Scratch) ([]theap.Neighbor, Outcome) {
+	// The claim workers are handed the plan by pointer, which would force
+	// the p parameter itself to escape — one heap copy per query, even
+	// inline. Parking the copy in the heap-resident scratch keeps the
+	// inline loop allocation-free.
 	scr.plan = p
 	plan := &scr.plan
 	n := len(plan.Subtasks)
@@ -258,12 +249,12 @@ func (e Executor) RunScratch(ctx context.Context, p Plan, scr *Scratch) ([]theap
 
 	lists := scr.lists[:n]
 	searchStart := time.Now()
-	workers := e.Workers
-	if workers > n {
-		workers = n
+	workers := 1
+	if n > 1 {
+		workers = min(n, runtime.GOMAXPROCS(0))
 	}
-	if workers <= 1 {
-		scr.ensureWorkers(1)
+	scr.ensureWorkers(workers)
+	if workers == 1 {
 		if planHasCold(plan) {
 			// Cold plans leave the allocation-free contract: the fetch
 			// stage overlaps hot kernels with segment page-ins via a
@@ -279,12 +270,11 @@ func (e Executor) RunScratch(ctx context.Context, p Plan, scr *Scratch) ([]theap
 			}
 		}
 	} else {
-		scr.ensureWorkers(workers)
 		scr.next.Store(-1)
 		// The fan-out below is the one part of the hot path that
 		// inherently allocates (goroutine stacks, the escaping plan
-		// pointer); sequential execution — what the allocation gate
-		// measures — never reaches it.
+		// pointer); the inline loop — what the allocation gate measures
+		// — never reaches it.
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,10 +28,19 @@ func listPlan(k int, lists ...[]theap.Neighbor) Plan {
 	return p
 }
 
+// setProcs pins GOMAXPROCS — all that Run's width depends on besides the
+// plan — until the test ends. The setting is process-wide: never call it
+// under t.Parallel.
+func setProcs(t testing.TB, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // run executes p on a fresh scratch, so each call's results and
 // Outcome.Subtasks stay valid for the rest of the test.
-func run(ctx context.Context, e Executor, p Plan) ([]theap.Neighbor, Outcome) {
-	return e.RunScratch(ctx, p, NewScratch())
+func run(ctx context.Context, p Plan) ([]theap.Neighbor, Outcome) {
+	return Run(ctx, p, NewScratch())
 }
 
 func TestRunEquivalentAcrossWorkerCounts(t *testing.T) {
@@ -50,7 +60,8 @@ func TestRunEquivalentAcrossWorkerCounts(t *testing.T) {
 	p := listPlan(5, lists...)
 	var want []theap.Neighbor
 	for _, workers := range []int{1, 2, 3, 8, 16} {
-		got, out := run(context.Background(), New(workers), p)
+		setProcs(t, workers)
+		got, out := run(context.Background(), p)
 		if out.Partial {
 			t.Fatalf("workers=%d: unexpected partial", workers)
 		}
@@ -95,7 +106,8 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 	}}}
 	for _, workers := range []int{1, 4} {
 		started.Store(0)
-		res, out := run(ctx, New(workers), p)
+		setProcs(t, workers)
+		res, out := run(ctx, p)
 		if res != nil {
 			t.Fatalf("workers=%d: results from a dead context: %v", workers, res)
 		}
@@ -133,7 +145,8 @@ func TestRunDeadlinePartial(t *testing.T) {
 			return nil
 		},
 	}}}
-	res, out := run(ctx, New(1), p)
+	setProcs(t, 1)
+	res, out := run(ctx, p)
 	if !out.Partial {
 		t.Fatal("outcome not partial after mid-plan expiry")
 	}
@@ -149,7 +162,7 @@ func TestRunDeadlinePartial(t *testing.T) {
 }
 
 func TestRunEmptyPlan(t *testing.T) {
-	res, out := run(context.Background(), New(4), Plan{K: 3})
+	res, out := run(context.Background(), Plan{K: 3})
 	if res != nil || out.Partial {
 		t.Fatalf("empty plan: res=%v partial=%v", res, out.Partial)
 	}
@@ -252,7 +265,7 @@ func TestRunStageTimings(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		return []theap.Neighbor{{ID: 0, Dist: 1}}
 	}
-	_, out := run(context.Background(), New(1), p)
+	_, out := run(context.Background(), p)
 	if out.Search < 2*time.Millisecond {
 		t.Fatalf("Search stage %v, want >= 2ms", out.Search)
 	}

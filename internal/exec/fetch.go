@@ -10,14 +10,14 @@ import (
 
 // Fetch stage: cold subtasks reference a spilled block whose payload
 // must be paged in through the plan's block cache before a kernel can
-// run. Two schedules cover both executor modes:
+// run. Which schedule does the paging follows from Run's width:
 //
-//   - Sequential (Workers <= 1): runSeqCold runs the hot subtasks on
-//     the calling goroutine while a single prefetch goroutine pages the
+//   - Width 1 (GOMAXPROCS 1): runSeqCold runs the hot subtasks on the
+//     calling goroutine while a single prefetch goroutine pages the
 //     cold payloads in plan order; cold kernels then run as their
 //     fetches complete. Hot search overlaps disk reads, which is the
 //     point of the stage.
-//   - Parallel: runOne fetches inline on the claiming worker — the
+//   - Width >= 2: runOne fetches inline on the claiming worker — the
 //     other workers' kernels overlap the page-in without extra
 //     machinery.
 //
@@ -27,7 +27,7 @@ import (
 
 // planHasCold reports whether any subtask needs the fetch stage. It
 // runs on the allocation-free hot path; all-hot plans take the
-// untouched sequential loop.
+// untouched inline loop.
 func planHasCold(p *Plan) bool {
 	for i := range p.Subtasks {
 		if p.Subtasks[i].Cold {
@@ -93,7 +93,7 @@ type fetched struct {
 	elap time.Duration
 }
 
-// runSeqCold is the sequential schedule for plans with cold subtasks:
+// runSeqCold is the width-1 schedule for plans with cold subtasks:
 // one prefetch goroutine pages cold payloads in plan order while the
 // calling goroutine runs the hot subtasks, then drains the fetches and
 // runs each cold kernel as its payload lands. The channel is always

@@ -19,10 +19,10 @@ import (
 // carve per-block seed slices from, the per-subtask result heaps, the
 // graph searchers, and the merge buffer. All of it grows to a high-water
 // mark on the first queries and is then reused verbatim, which is what
-// makes a warmed-up sequential query allocation-free.
+// makes a warmed-up inline query allocation-free.
 //
 // A Scratch serves one query at a time and is not safe for concurrent use.
-// Results returned from RunScratch (the neighbor slice and
+// Results returned from Run (the neighbor slice and
 // Outcome.Subtasks) alias the scratch and are valid until its next query.
 type Scratch struct {
 	// Subtasks is the plan backing array: planners build their plan as
@@ -41,7 +41,7 @@ type Scratch struct {
 	Ent Entropy
 
 	// Executor-side state.
-	plan      Plan // RunScratch's copy of the plan, so &plan never escapes a stack frame
+	plan      Plan // Run's copy of the plan, so &plan never escapes a stack frame
 	results   []SubtaskResult
 	lists     [][]theap.Neighbor
 	tops      []theap.TopK

@@ -123,28 +123,28 @@ func (ix *Index) Build(seed int64) error {
 // with timestamps in [ts, te), probing the nprobe nearest inverted lists
 // (plus a brute-force tail scan over unbuilt vectors). Results use global
 // insertion indices and ascending distance order. It is Query on a pooled
-// scratch, run sequentially, with the results copied out.
+// scratch with the results copied out.
 func (ix *Index) Search(q []float32, k int, ts, te int64, nprobe int) []theap.Neighbor {
 	return exec.Pooled(func(scr *exec.Scratch) []theap.Neighbor {
-		res, _ := ix.Query(context.Background(), scr, q, k, ts, te, nprobe, exec.Executor{Workers: 1})
+		res, _ := ix.Query(context.Background(), scr, q, k, ts, te, nprobe)
 		return res
 	})
 }
 
 // Query is the one search body: it translates the query into the shared
-// executor's shape and runs it on x. Centroid ranking and per-list window
+// executor's shape and runs it. Centroid ranking and per-list window
 // binary searches happen at plan time (the select stage); each probed
 // list's in-window run then scans through the executor's id-list kernel
 // (the inverted list's segment rides along as Subtask.List — no copying),
 // and the unbuilt tail scans as a contiguous range. Lists partition the
 // built ids and the tail is disjoint from them, so the merged result is
-// identical for every worker count. Subtasks never start after ctx is
+// identical at every GOMAXPROCS. Subtasks never start after ctx is
 // done, and expiry yields partial results tagged in the outcome.
 //
 // Every buffer (centroid ranking and probe storage included) comes from
 // the caller-owned scr; the results and Outcome.Subtasks alias it and are
 // valid until its next query.
-func (ix *Index) Query(ctx context.Context, scr *exec.Scratch, q []float32, k int, ts, te int64, nprobe int, x exec.Executor) ([]theap.Neighbor, exec.Outcome) {
+func (ix *Index) Query(ctx context.Context, scr *exec.Scratch, q []float32, k int, ts, te int64, nprobe int) ([]theap.Neighbor, exec.Outcome) {
 	planStart := time.Now()
 	k = min(k, ix.store.Len()) // heaps are sized by k; see bsbf.Index.Query
 	plan := exec.Plan{K: k, Query: q, Subtasks: scr.Subtasks[:0]}
@@ -173,7 +173,7 @@ func (ix *Index) Query(ctx context.Context, scr *exec.Scratch, q []float32, k in
 	}
 	scr.Subtasks = plan.Subtasks[:0]
 	planDur := time.Since(planStart)
-	res, out := x.RunScratch(ctx, plan, scr)
+	res, out := exec.Run(ctx, plan, scr)
 	out.Select = planDur
 	return res, out
 }

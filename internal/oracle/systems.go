@@ -43,17 +43,16 @@ func newSystems(cfg Config) ([]*system, func(), error) {
 		}
 	}
 
-	// MBI, synchronous merges, queried through the shared executor with an
-	// explicit 2-worker pool: the oracle then continuously re-checks that
-	// parallel per-block execution answers exactly like the old sequential
-	// path (plan-time entry draws + disjoint ranges make results
-	// worker-count independent). Exact exactly when block selection chose
-	// only brute-forced regions — Explain reports the plan without
-	// searching, so the classification can't drift from the real query
-	// path.
+	// MBI, synchronous merges, queried through the shared executor at the
+	// host's GOMAXPROCS: on a multi-core host the oracle continuously
+	// re-checks that parallel per-block execution answers exactly (plan-time
+	// entry draws + disjoint ranges make results width-independent), under
+	// GOMAXPROCS=1 that the inline loop does. Exact exactly when block
+	// selection chose only brute-forced regions — Explain reports the plan
+	// without searching, so the classification can't drift from the real
+	// query path.
 	mbiSync, err := tknn.NewMBI(tknn.MBIOptions{
 		Dim: cfg.Dim, Metric: cfg.Metric, LeafSize: cfg.LeafSize, Seed: cfg.Seed + 1,
-		QueryWorkers: 2,
 	})
 	if err != nil {
 		closeAll()

@@ -434,6 +434,7 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, tknn.ErrBadQuery),
 		errors.Is(err, tknn.ErrDimension),
+		errors.Is(err, tknn.ErrNonFinite),
 		errors.Is(err, tknn.ErrTimestampOrder):
 		return http.StatusBadRequest
 	default:

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -314,8 +315,10 @@ func TestOversizedBodyIs413(t *testing.T) {
 // took the daemon down. The index clamps k to its vector count, so the
 // answer is the whole window.
 func TestHugeKFromTheWire(t *testing.T) {
-	s, ts := newTestServer(t)
-	s.ix.Internal().SetQueryWorkers(4)
+	// Four procs put the plan's subtasks on worker goroutines.
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	_, ts := newTestServer(t)
 	batch := make([]AddEntry, 200)
 	for i := range batch {
 		batch[i] = AddEntry{Vector: []float32{float32(i), 1, 0, 0}, Time: int64(i)}

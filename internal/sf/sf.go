@@ -99,15 +99,15 @@ func (ix *Index) Restore(g *graph.CSR, built int) error {
 // with timestamps in [ts, te), ordered by ascending distance, with global
 // insertion indices as IDs. p tunes the Algorithm 2 traversal; rng picks
 // the random entry vertex (line 1) and must not be shared across
-// goroutines. It is Query on a pooled scratch, run sequentially, with the
-// results copied out.
+// goroutines. It is Query on a pooled scratch with the results copied
+// out.
 func (ix *Index) Search(q []float32, k int, ts, te int64, p graph.SearchParams, rng *rand.Rand) []theap.Neighbor {
 	var entry int32
 	if ix.g != nil && ix.built > 0 {
 		entry = graph.RandomEntry(rng, ix.built)
 	}
 	return exec.Pooled(func(scr *exec.Scratch) []theap.Neighbor {
-		res, _ := ix.Query(context.Background(), scr, q, k, ts, te, p, entry, exec.Executor{Workers: 1})
+		res, _ := ix.Query(context.Background(), scr, q, k, ts, te, p, entry)
 		return res
 	})
 }
@@ -116,14 +116,14 @@ func (ix *Index) Search(q []float32, k int, ts, te int64, p graph.SearchParams, 
 // executor's shape — one graph subtask over the built prefix (when a graph
 // exists), traversed with the query's time window as its admission filter,
 // plus one brute-scan subtask over the unbuilt tail's in-window run; the
-// two cover disjoint global-id ranges — and runs it on x. The caller
+// two cover disjoint global-id ranges — and runs it. The caller
 // supplies the graph entry vertex (drawn at plan time, so results are
-// identical for every worker count); subtasks never start after ctx is
+// identical at every GOMAXPROCS); subtasks never start after ctx is
 // done and expiry yields partial results tagged in the outcome.
 //
 // Every buffer comes from the caller-owned scr; the results and
 // Outcome.Subtasks alias it and are valid until its next query.
-func (ix *Index) Query(ctx context.Context, scr *exec.Scratch, q []float32, k int, ts, te int64, p graph.SearchParams, entry int32, x exec.Executor) ([]theap.Neighbor, exec.Outcome) {
+func (ix *Index) Query(ctx context.Context, scr *exec.Scratch, q []float32, k int, ts, te int64, p graph.SearchParams, entry int32) ([]theap.Neighbor, exec.Outcome) {
 	planStart := time.Now()
 	k = min(k, ix.store.Len()) // heaps are sized by k; see bsbf.Index.Query
 	plan := exec.Plan{K: k, Query: q, Subtasks: scr.Subtasks[:0]}
@@ -144,7 +144,7 @@ func (ix *Index) Query(ctx context.Context, scr *exec.Scratch, q []float32, k in
 	}
 	scr.Subtasks = plan.Subtasks[:0]
 	planDur := time.Since(planStart)
-	res, out := x.RunScratch(ctx, plan, scr)
+	res, out := exec.Run(ctx, plan, scr)
 	out.Select = planDur
 	return res, out
 }

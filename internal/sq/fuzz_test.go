@@ -12,8 +12,8 @@ import (
 // finds: Validate passes (finite parameters, consistent sizes), every
 // decoded coordinate is within half a step of its original, and the cached
 // norms match the decoded rows. Non-finite and empty payloads are skipped
-// — stores reject NaN at ingest (vec.CheckFinite under the invariant
-// gate), so they cannot reach Train in the real pipeline.
+// — stores refuse NaN at ingest (vec.Store.Append), so they cannot reach
+// Train in the real pipeline.
 func FuzzTrainRoundtrip(f *testing.F) {
 	f.Add([]byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0x40, 0, 0, 0x40, 0x40, 0, 0, 0x80, 0x40}, uint8(2))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(3))

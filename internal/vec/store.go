@@ -1,9 +1,8 @@
 package vec
 
 import (
+	"errors"
 	"fmt"
-
-	"repro/internal/invariant"
 )
 
 // Store holds vectors of a fixed dimension back-to-back in one []float32.
@@ -47,32 +46,59 @@ func (s *Store) Dim() int { return s.dim }
 // Len returns the number of vectors currently stored.
 func (s *Store) Len() int { return len(s.data) / s.dim }
 
-// CheckFinite returns an error if any coordinate of v is NaN or ±Inf.
-// A non-finite coordinate poisons every distance computed against the
-// vector, so ingest paths assert finiteness under the invariant gate.
-// The x-x != 0 test is NaN for both NaN and infinite inputs and keeps
-// this file inside the float32-only kernel rule (no math.IsNaN/IsInf).
+// ErrNonFinite is the error CheckFinite and Store.Append wrap when a
+// coordinate is NaN or ±Inf.
+var ErrNonFinite = errors.New("vec: non-finite coordinate")
+
+// CheckFinite returns an error wrapping ErrNonFinite if any coordinate of
+// v is NaN or ±Inf. A non-finite coordinate poisons every distance
+// computed against the vector, so queries are checked here and stored
+// vectors by Store.Append.
+//
+// Squares are never negative, so a finite sum of squares has only finite
+// terms: the squared norm — which Append needs anyway, so the check costs
+// the insert path no pass of its own — settles the common case, and only a
+// non-finite sum (a bad coordinate, or finite ones whose squares overflow)
+// takes the coordinate-by-coordinate look of firstNonFinite.
 func CheckFinite(v []float32) error {
+	if sq := SquaredNorm(v); sq-sq == 0 {
+		return nil
+	}
+	return firstNonFinite(v)
+}
+
+// firstNonFinite names v's first NaN or ±Inf coordinate, if it has one.
+// The x-x != 0 test is NaN for both NaN and infinite inputs and keeps this
+// file inside the float32-only kernel rule (no math.IsNaN/IsInf).
+func firstNonFinite(v []float32) error {
 	for i, x := range v {
 		if x-x != 0 {
-			return fmt.Errorf("vec: coordinate %d is not finite (%v)", i, x)
+			return fmt.Errorf("%w: coordinate %d is %v", ErrNonFinite, i, x)
 		}
 	}
 	return nil
 }
 
-// Append adds a copy of v and returns its index.
-// It returns an error if len(v) does not match the store dimension.
+// Append adds a copy of v and returns its index. It returns an error, and
+// stores nothing, if len(v) does not match the store dimension or a
+// coordinate is not finite (ErrNonFinite).
 func (s *Store) Append(v []float32) (int, error) {
 	if len(v) != s.dim {
 		return 0, fmt.Errorf("vec: appending %d-dim vector to %d-dim store", len(v), s.dim)
 	}
-	if invariant.Enabled {
-		invariant.NoError(CheckFinite(v), "vec: ingest")
-	}
 	id := s.Len()
 	s.data = append(s.data, v...)
-	s.sqnorms = append(s.sqnorms, SquaredNorm(v))
+	// Norm after the copy, undone on refusal: the copy streams a cold v
+	// into cache and the kernel then reads it hot — the other order is
+	// measurably slower per insert.
+	sq := SquaredNorm(v)
+	if sq-sq != 0 {
+		if err := firstNonFinite(v); err != nil {
+			s.data = s.data[:id*s.dim]
+			return 0, err
+		}
+	}
+	s.sqnorms = append(s.sqnorms, sq)
 	return id, nil
 }
 

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -224,6 +225,32 @@ func TestStoreAppendWrongDim(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Error("failed append must not grow the store")
+	}
+}
+
+// TestStoreAppendNonFinite: a refused vector leaves no trace — the rows and
+// cached norms of its neighbours are what they would be without it — and
+// finite coordinates whose squares overflow are not the refused case.
+func TestStoreAppendNonFinite(t *testing.T) {
+	s := NewStore(3)
+	if _, err := s.Append([]float32{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	inf := float32(math.Inf(1))
+	for _, bad := range [][]float32{{float32(math.NaN()), 0, 0}, {0, inf, 0}, {0, 0, -inf}} {
+		if _, err := s.Append(bad); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("Append(%v) error = %v, want ErrNonFinite", bad, err)
+		}
+		if err := CheckFinite(bad); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("CheckFinite(%v) = %v, want ErrNonFinite", bad, err)
+		}
+	}
+	id, err := s.Append([]float32{3e38, 4, 5})
+	if err != nil || id != 1 || s.Len() != 2 {
+		t.Fatalf("Append(finite, norm overflows) = %d, %v, Len %d; want row 1", id, err, s.Len())
+	}
+	if got := s.At(1); got[0] != 3e38 || got[1] != 4 || got[2] != 5 || s.SqNorm(0) != 14 {
+		t.Errorf("rows after refusals: At(1) = %v, SqNorm(0) = %v", got, s.SqNorm(0))
 	}
 }
 

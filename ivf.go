@@ -72,7 +72,6 @@ type IVF struct {
 	mu         sync.RWMutex
 	sinceBuild int
 	rebuilds   int
-	x          exec.Executor
 }
 
 // NewIVF creates an empty IVF index.
@@ -83,16 +82,7 @@ func NewIVF(opts IVFOptions) (*IVF, error) {
 	return &IVF{
 		opts:  opts,
 		inner: ivf.New(opts.Dim, opts.Metric.internal(), ivf.Config{Lists: opts.Lists}),
-		x:     exec.New(0),
 	}, nil
-}
-
-// SetQueryWorkers rebounds the intra-query probe pool: n <= 0 defaults to
-// GOMAXPROCS, n == 1 scans probed lists sequentially.
-func (x *IVF) SetQueryWorkers(n int) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.x = exec.New(n)
 }
 
 // Options returns the effective (defaulted) options.
@@ -107,7 +97,7 @@ func (x *IVF) Add(v []float32, t int64) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if err := x.inner.Append(v, t); err != nil {
-		return fmt.Errorf("%w: %v", ErrTimestampOrder, err)
+		return addError(err)
 	}
 	x.sinceBuild++
 	if x.opts.RebuildEvery > 0 && x.sinceBuild >= x.opts.RebuildEvery {
@@ -152,7 +142,7 @@ func (x *IVF) Search(q Query) ([]Result, error) {
 }
 
 // SearchContext is Search through the shared executor: probed lists scan
-// as independent subtasks across the query-worker pool, and a done context
+// as independent subtasks across exec.Run's workers, and a done context
 // yields the results of the probes that ran (a partial answer, not an
 // error).
 func (x *IVF) SearchContext(ctx context.Context, q Query) ([]Result, error) {
@@ -176,7 +166,7 @@ func (x *IVF) SearchDetailed(ctx context.Context, q Query, nprobe int) ([]Result
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return searchDetailed(q, x.opts.Dim, x.inner.Times, func(scr *core.Scratch) ([]theap.Neighbor, exec.Outcome) {
-		return x.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, nprobe, x.x)
+		return x.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, nprobe)
 	})
 }
 

@@ -98,10 +98,6 @@ type MBIOptions struct {
 	// Workers bounds the goroutines used to build block graphs during a
 	// merge cascade. Default 1 (sequential).
 	Workers int
-	// QueryWorkers bounds the goroutines one query may use to search its
-	// selected blocks in parallel. Zero defaults to GOMAXPROCS; one runs
-	// each query sequentially on its calling goroutine.
-	QueryWorkers int
 	// AsyncMerge moves block-graph building from the Add that fills a
 	// leaf to a background worker, so Add never waits on graph
 	// construction. Either way searches never wait on it: vectors whose
@@ -247,7 +243,6 @@ func (o MBIOptions) coreOptions() (core.Options, error) {
 		Builder:           b,
 		Search:            graph.SearchParams{MC: o.MaxCandidates, Eps: float32(o.Epsilon)},
 		Workers:           o.Workers,
-		QueryWorkers:      o.QueryWorkers,
 		AsyncMerge:        o.AsyncMerge,
 		Seed:              o.Seed,
 		Compression:       o.Compression.internal(),
@@ -301,7 +296,7 @@ func (m *MBI) Add(v []float32, t int64) error {
 		return fmt.Errorf("%w: got %d, index has %d", ErrDimension, len(v), m.opts.Dim)
 	}
 	if err := m.inner.Append(v, t); err != nil {
-		return fmt.Errorf("%w: %v", ErrTimestampOrder, err)
+		return addError(err)
 	}
 	return nil
 }

@@ -169,18 +169,35 @@ var (
 	// ErrDimension is returned when a vector's length does not match the
 	// index dimension.
 	ErrDimension = errors.New("tknn: vector dimension mismatch")
+	// ErrNonFinite is returned when Add receives a vector holding NaN or
+	// ±Inf: one such coordinate poisons every distance computed against
+	// it. Nothing is stored.
+	ErrNonFinite = errors.New("tknn: vector has a non-finite coordinate")
 	// ErrBadQuery is returned when a query is malformed (K <= 0, empty
-	// window, or dimension mismatch).
+	// window, dimension mismatch, or a non-finite coordinate).
 	ErrBadQuery = errors.New("tknn: bad query")
 	// ErrTimestampOrder is returned when Add receives a timestamp earlier
 	// than the last one.
 	ErrTimestampOrder = errors.New("tknn: timestamps must be non-decreasing")
 )
 
+// addError names an inner index's refusal of a right-sized vector: the
+// store found a non-finite coordinate while taking the vector's norm, or
+// the timestamp ran backwards.
+func addError(err error) error {
+	if errors.Is(err, vec.ErrNonFinite) {
+		return fmt.Errorf("%w: %v", ErrNonFinite, err)
+	}
+	return fmt.Errorf("%w: %v", ErrTimestampOrder, err)
+}
+
 // validateQuery checks q against an index of the given dimension.
 func validateQuery(q Query, dim int) error {
 	if len(q.Vector) != dim {
 		return fmt.Errorf("%w: query vector has %d dimensions, index has %d", ErrBadQuery, len(q.Vector), dim)
+	}
+	if err := vec.CheckFinite(q.Vector); err != nil {
+		return fmt.Errorf("%w: query vector: %v", ErrBadQuery, err)
 	}
 	if q.K <= 0 {
 		return fmt.Errorf("%w: K = %d", ErrBadQuery, q.K)
