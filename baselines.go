@@ -12,14 +12,13 @@ import (
 	"repro/internal/graph"
 	"repro/internal/persist"
 	"repro/internal/sf"
-	"repro/internal/theap"
 )
 
 // BSBF is the Binary-Search-and-Brute-Force baseline (Algorithm 1).
 // Queries are exact. It satisfies Index.
 type BSBF struct {
 	dim   int
-	inner *bsbf.Index
+	inner *bsbf.Index //tknn:guardedBy(mu)
 	mu    sync.RWMutex
 }
 
@@ -98,11 +97,15 @@ func (b *BSBF) SearchContext(ctx context.Context, q Query) ([]Result, error) {
 
 // SearchDetailed is SearchContext plus stage timings and the Partial flag.
 func (b *BSBF) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInfo, error) {
+	if err := validateQuery(q, b.dim); err != nil {
+		return nil, SearchInfo{}, err
+	}
+	scr := core.GetScratch()
+	defer core.PutScratch(scr)
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return searchDetailed(q, b.dim, b.inner.TimesRef, func(scr *core.Scratch) ([]theap.Neighbor, exec.Outcome) {
-		return b.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End)
-	})
+	ns, out := b.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End)
+	return toResults(ns, b.inner.TimesRef()), infoFrom(out), nil
 }
 
 // SearchBatchContext fans queries across workers goroutines with the same
@@ -178,10 +181,10 @@ func (o *SFOptions) ApplyDefaults() error {
 // Index.
 type SF struct {
 	opts       SFOptions
-	inner      *sf.Index
+	inner      *sf.Index //tknn:guardedBy(mu)
 	mu         sync.RWMutex
-	sinceBuild int
-	rebuilds   int
+	sinceBuild int //tknn:guardedBy(mu)
+	rebuilds   int //tknn:guardedBy(mu)
 	// entrySalt seeds per-query entry-point randomness: each query hashes
 	// (entrySalt, vector) into a plan-local entropy source, so concurrent
 	// searches share no state — unlike the old mutex-guarded rand.Rand —
@@ -263,17 +266,21 @@ func (s *SF) SearchContext(ctx context.Context, q Query) ([]Result, error) {
 
 // SearchDetailed is SearchContext plus stage timings and the Partial flag.
 func (s *SF) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInfo, error) {
+	if err := validateQuery(q, s.opts.Dim); err != nil {
+		return nil, SearchInfo{}, err
+	}
+	scr := core.GetScratch()
+	defer core.PutScratch(scr)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return searchDetailed(q, s.opts.Dim, s.inner.Times, func(scr *core.Scratch) ([]theap.Neighbor, exec.Outcome) {
-		var entry int32
-		if built := s.inner.Built(); built > 0 && s.inner.Graph() != nil {
-			ent := exec.NewEntropy(int64(exec.QueryHash(s.entrySalt, q.Vector)))
-			entry = int32(ent.Intn(built))
-		}
-		p := graph.SearchParams{MC: s.opts.MaxCandidates, Eps: float32(s.opts.Epsilon)}
-		return s.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, p, entry)
-	})
+	var entry int32
+	if built := s.inner.Built(); built > 0 && s.inner.Graph() != nil {
+		ent := exec.NewEntropy(int64(exec.QueryHash(s.entrySalt, q.Vector)))
+		entry = int32(ent.Intn(built))
+	}
+	p := graph.SearchParams{MC: s.opts.MaxCandidates, Eps: float32(s.opts.Epsilon)}
+	ns, out := s.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, p, entry)
+	return toResults(ns, s.inner.Times()), infoFrom(out), nil
 }
 
 // SearchBatchContext fans queries across workers goroutines with the same
@@ -322,7 +329,3 @@ func LoadSF(r io.Reader, opts SFOptions) (*SF, error) {
 		entrySalt: uint64(opts.Seed) ^ 0x7366,
 	}, nil
 }
-
-// Internal exposes the underlying sf index for the experiment harness.
-// Not part of the stable API.
-func (s *SF) Internal() *sf.Index { return s.inner }

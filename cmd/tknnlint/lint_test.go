@@ -82,17 +82,15 @@ func TestCaseShape(t *testing.T) {
 	}{
 		{dir: "float32kernel", rule: ruleFloat32, minHits: 5},
 		{dir: "globalrand", rule: ruleRand, minHits: 4},
-		{dir: "lockdiscipline", rule: ruleLock, minHits: 4},
+		{dir: "lockdiscipline", rule: ruleLock, minHits: 2},
 		{dir: "guardedby", rule: ruleGuarded, minHits: 11},
 		{dir: "lockorder", rule: ruleLockOrder, minHits: 2},
 		{dir: "untrustedsize", rule: ruleTaint, minHits: 4},
 		{dir: "uncheckederr", rule: ruleErr, minHits: 4},
-		{dir: "copylock", rule: ruleCopylock, minHits: 4},
 		{dir: "goroutineleak", rule: ruleGoroutine, minHits: 3},
 		{dir: "invariantgate", rule: ruleInvariant, minHits: 2},
 		{dir: "hotpathalloc", rule: ruleHotAlloc, minHits: 10},
 		{dir: "ctxdiscipline", rule: ruleCtx, minHits: 4},
-		{dir: "scratchreuse", rule: ruleScratch, minHits: 2},
 		{dir: "clean", wantNone: true},
 		// A hot root in a kernel package calling a body-less (assembly-
 		// backed) declaration: nothing to walk, nothing to report.
@@ -130,17 +128,15 @@ func TestSuppression(t *testing.T) {
 	}{
 		{dir: "float32kernel", file: "internal/vec/vec.go", banned: "vec.go:50", present: "internal/vec/vec.go:14"},
 		{dir: "globalrand", file: "internal/sampler/sampler.go", banned: "Float32", present: "Intn"},
-		{dir: "lockdiscipline", file: "internal/reg/reg.go", banned: "Reset", present: "Peek"},
+		{dir: "lockdiscipline", file: "internal/reg/reg.go", banned: "Reset", present: "Drain"},
 		{dir: "guardedby", file: "internal/reg/reg.go", banned: "reg.go:149", present: "reg.go:49"},
 		{dir: "lockorder", file: "internal/ord/ord.go", banned: "ord.U", present: "ord.S"},
 		{dir: "untrustedsize", file: "internal/persist/load.go", banned: "load.go:84", present: "load.go:23"},
 		{dir: "uncheckederr", file: "cmd/tool/main.go", banned: "also-ignored", present: "Remove"},
-		{dir: "copylock", file: "internal/pool/pool.go", banned: "Snapshot", present: "Reset"},
 		{dir: "goroutineleak", file: "internal/worker/worker.go", banned: "daemonLoop", present: "spin"},
 		{dir: "invariantgate", file: "internal/tree/tree.go", banned: "Checkf", present: "Check"},
 		{dir: "hotpathalloc", file: "internal/index/index.go", banned: "index.go:91", present: "index.go:84"},
 		{dir: "ctxdiscipline", file: "internal/exec/exec.go", banned: "LegacyContext", present: "SearchContext"},
-		{dir: "scratchreuse", file: "internal/query/query.go", banned: "query.go:34", present: "NewScratch"},
 	}
 	for _, c := range checks {
 		t.Run(c.dir, func(t *testing.T) {
@@ -224,7 +220,7 @@ func TestJSONSuppressionStatus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if err := os.Chdir(filepath.Join("testdata", "src", "copylock")); err != nil {
+	if err := os.Chdir(filepath.Join("testdata", "src", "guardedby")); err != nil {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
@@ -237,7 +233,7 @@ func TestJSONSuppressionStatus(t *testing.T) {
 	}
 	activeN, suppressedN := 0, 0
 	for _, d := range diags {
-		if d.Rule != ruleCopylock {
+		if d.Rule != ruleGuarded {
 			t.Errorf("unexpected rule %s: %s", d.Rule, d)
 		}
 		if d.Suppressed {
@@ -292,64 +288,6 @@ func TestGuardDirectiveArgs(t *testing.T) {
 				t.Errorf("parseGuardArgs(%q)[%d] = %q, want %q", c.text, i, names[i], c.names[i])
 			}
 		}
-	}
-}
-
-// TestSARIFOutput drives -sarif against the guardedby corpus: valid
-// SARIF 2.1.0, one result per diagnostic (suppressed included, marked
-// with an inSource suppression), exit code still 1 on active findings.
-func TestSARIFOutput(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := os.Chdir(wd); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if err := os.Chdir(filepath.Join("testdata", "src", "guardedby")); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-sarif", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("corpus with active findings: want exit 1, got %d (stderr: %s)", code, stderr.String())
-	}
-	var doc sarifDoc
-	if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
-		t.Fatalf("-sarif output is not valid JSON: %v\n%s", err, stdout.String())
-	}
-	if doc.Version != "2.1.0" {
-		t.Errorf("SARIF version = %q, want 2.1.0", doc.Version)
-	}
-	if len(doc.Runs) != 1 || doc.Runs[0].Tool.Driver.Name != "tknnlint" {
-		t.Fatalf("want one run driven by tknnlint, got %+v", doc.Runs)
-	}
-	if len(doc.Runs[0].Tool.Driver.Rules) != len(ruleCatalog) {
-		t.Errorf("driver.rules has %d entries, want %d", len(doc.Runs[0].Tool.Driver.Rules), len(ruleCatalog))
-	}
-	activeN, suppressedN := 0, 0
-	for _, r := range doc.Runs[0].Results {
-		if r.RuleID != ruleGuarded {
-			t.Errorf("unexpected ruleId %q", r.RuleID)
-		}
-		if len(r.Locations) != 1 || r.Locations[0].PhysicalLocation.ArtifactLocation.URI == "" {
-			t.Errorf("result missing physical location: %+v", r)
-		}
-		if len(r.Suppressions) > 0 {
-			if r.Suppressions[0].Kind != "inSource" {
-				t.Errorf("suppression kind = %q, want inSource", r.Suppressions[0].Kind)
-			}
-			suppressedN++
-		} else {
-			activeN++
-		}
-	}
-	if activeN == 0 || suppressedN == 0 {
-		t.Errorf("want both active and suppressed results, got %d active / %d suppressed", activeN, suppressedN)
-	}
-	if code := run([]string{"-sarif", "-json", "./..."}, &stdout, &stderr); code != 2 {
-		t.Errorf("-sarif with -json: want exit 2, got %d", code)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// Static held-lock tracking shared by the guarded-by and lock-order
-// rules.
+// Static held-lock tracking shared by the lock-discipline, guarded-by
+// and lock-order rules: the one place lock calls are parsed.
 //
 // Locks are identified by their declaration object (*types.Var): a mutex
 // field of a struct, a package-level mutex var, or a function-local
@@ -100,7 +100,8 @@ type lockEvt struct {
 	flavor  lockFlavor
 	acquire bool
 	pos     token.Pos
-	scope   span // the event applies only to positions inside this span
+	scope   span          // the event applies only to positions inside this span
+	call    *ast.CallExpr // the Lock/Unlock/TryLock call, for messages
 }
 
 // unitLockEvents collects the position-ordered lock events of one unit
@@ -119,77 +120,63 @@ func unitLockEvents(pkg *Package, unit ast.Node) []lockEvt {
 	}
 	unitSpan := span{body.Pos(), body.End()}
 
-	// parentScope[n] is the span of the innermost enclosing block-like
-	// node for every node in the unit.
 	var evts []lockEvt
-	var walk func(n ast.Node, scope span, deferred bool)
-	addCall := func(call *ast.CallExpr, scope span, deferred bool) {
+	var walk func(n ast.Node, scope span)
+	// Only statement-position calls count. A deferred call contributes no
+	// event: a deferred unlock holds to the end of the unit, and a deferred
+	// lock runs on the way out.
+	addCall := func(call *ast.CallExpr, scope span) {
 		mu, op := mutexCall(pkg, call)
 		if mu == nil {
 			return
 		}
-		switch op {
-		case "Lock":
-			if !deferred {
-				evts = append(evts, lockEvt{mu: mu, flavor: heldW, acquire: true, pos: call.Pos(), scope: scope})
-			}
-		case "RLock":
-			if !deferred {
-				evts = append(evts, lockEvt{mu: mu, flavor: heldR, acquire: true, pos: call.Pos(), scope: scope})
-			}
-		case "Unlock":
-			if !deferred { // deferred unlocks hold to the end of the unit
-				evts = append(evts, lockEvt{mu: mu, flavor: heldW, pos: call.Pos(), scope: scope})
-			}
-		case "RUnlock":
-			if !deferred {
-				evts = append(evts, lockEvt{mu: mu, flavor: heldR, pos: call.Pos(), scope: scope})
-			}
+		e := lockEvt{mu: mu, flavor: heldW, acquire: op == "Lock" || op == "RLock", pos: call.Pos(), scope: scope, call: call}
+		if op == "RLock" || op == "RUnlock" {
+			e.flavor = heldR
 		}
+		evts = append(evts, e)
 	}
-	walk = func(n ast.Node, scope span, deferred bool) {
+	walk = func(n ast.Node, scope span) {
 		switch s := n.(type) {
 		case nil:
 			return
 		case *ast.BlockStmt:
 			inner := span{s.Pos(), s.End()}
 			for _, st := range s.List {
-				walk(st, inner, false)
+				walk(st, inner)
 			}
 		case *ast.ExprStmt:
 			if call, ok := unparen(s.X).(*ast.CallExpr); ok {
-				addCall(call, scope, false)
+				addCall(call, scope)
 			}
-		case *ast.DeferStmt:
-			addCall(s.Call, scope, true)
 		case *ast.IfStmt:
 			if s.Init != nil {
-				walk(s.Init, scope, false)
+				walk(s.Init, scope)
 			}
 			// A TryLock in the condition acquires for exactly one branch:
 			// the success body for `if mu.TryLock()`, the code after the
 			// statement for the early-return `if !mu.TryLock() { return }`.
-			if mu, flavor, negated, ok := tryLockCond(pkg, s.Cond); ok {
+			if call, mu, flavor, negated := tryLockCond(pkg, s.Cond); call != nil {
 				if negated {
-					evts = append(evts, lockEvt{mu: mu, flavor: flavor, acquire: true, pos: s.End(), scope: scope})
+					evts = append(evts, lockEvt{mu: mu, flavor: flavor, acquire: true, pos: s.End(), scope: scope, call: call})
 				} else {
-					evts = append(evts, lockEvt{mu: mu, flavor: flavor, acquire: true, pos: s.Body.Pos(), scope: span{s.Body.Pos(), s.Body.End()}})
+					evts = append(evts, lockEvt{mu: mu, flavor: flavor, acquire: true, pos: s.Body.Pos(), scope: span{s.Body.Pos(), s.Body.End()}, call: call})
 				}
 			}
-			walk(s.Body, scope, false)
-			walk(s.Else, scope, false)
+			walk(s.Body, scope)
+			walk(s.Else, scope)
 		case *ast.ForStmt:
-			walk(s.Init, scope, false)
-			walk(s.Post, scope, false)
-			walk(s.Body, scope, false)
+			walk(s.Init, scope)
+			walk(s.Post, scope)
+			walk(s.Body, scope)
 		case *ast.RangeStmt:
-			walk(s.Body, scope, false)
+			walk(s.Body, scope)
 		case *ast.SwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
 					inner := span{cc.Pos(), cc.End()}
 					for _, st := range cc.Body {
-						walk(st, inner, false)
+						walk(st, inner)
 					}
 				}
 			}
@@ -198,7 +185,7 @@ func unitLockEvents(pkg *Package, unit ast.Node) []lockEvt {
 				if cc, ok := c.(*ast.CaseClause); ok {
 					inner := span{cc.Pos(), cc.End()}
 					for _, st := range cc.Body {
-						walk(st, inner, false)
+						walk(st, inner)
 					}
 				}
 			}
@@ -207,18 +194,18 @@ func unitLockEvents(pkg *Package, unit ast.Node) []lockEvt {
 				if cc, ok := c.(*ast.CommClause); ok {
 					inner := span{cc.Pos(), cc.End()}
 					for _, st := range cc.Body {
-						walk(st, inner, false)
+						walk(st, inner)
 					}
 				}
 			}
 		case *ast.LabeledStmt:
-			walk(s.Stmt, scope, false)
+			walk(s.Stmt, scope)
 		}
 		// GoStmt bodies run on another goroutine and FuncLit bodies are
 		// separate units; neither contributes events here.
 	}
 	for _, st := range body.List {
-		walk(st, unitSpan, false)
+		walk(st, unitSpan)
 	}
 	// Negated-TryLock events carry a post-statement position and are
 	// appended before the branch body is walked; replay needs strict
@@ -285,9 +272,10 @@ func mutexCall(pkg *Package, call *ast.CallExpr) (*types.Var, string) {
 }
 
 // tryLockCond recognizes `mu.TryLock()` / `mu.TryRLock()` (optionally
-// under a single !) as an if condition and returns the mutex, the flavor
-// a success acquires, and whether the condition was negated.
-func tryLockCond(pkg *Package, cond ast.Expr) (*types.Var, lockFlavor, bool, bool) {
+// under a single !) as an if condition and returns the call, the mutex,
+// the flavor a success acquires, and whether the condition was negated.
+// The call is nil when cond is no such condition.
+func tryLockCond(pkg *Package, cond ast.Expr) (*ast.CallExpr, *types.Var, lockFlavor, bool) {
 	negated := false
 	e := unparen(cond)
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.NOT {
@@ -296,11 +284,11 @@ func tryLockCond(pkg *Package, cond ast.Expr) (*types.Var, lockFlavor, bool, boo
 	}
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
-		return nil, 0, false, false
+		return nil, nil, 0, false
 	}
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return nil, 0, false, false
+		return nil, nil, 0, false
 	}
 	var flavor lockFlavor
 	switch sel.Sel.Name {
@@ -309,13 +297,43 @@ func tryLockCond(pkg *Package, cond ast.Expr) (*types.Var, lockFlavor, bool, boo
 	case "TryRLock":
 		flavor = heldR
 	default:
-		return nil, 0, false, false
+		return nil, nil, 0, false
 	}
 	mu := mutexObject(pkg, sel.X)
 	if mu == nil {
-		return nil, 0, false, false
+		return nil, nil, 0, false
 	}
-	return mu, flavor, negated, true
+	return call, mu, flavor, negated
+}
+
+// isSyncMutex reports whether t is a sync.Mutex or sync.RWMutex, or a
+// pointer to one.
+func isSyncMutex(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+		return false
+	}
+	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+}
+
+// funcUnits returns body plus every function literal beneath it, each to
+// be analyzed as an independent unit.
+func funcUnits(body *ast.BlockStmt) []ast.Node {
+	units := []ast.Node{body}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if fl, ok := n.(*ast.FuncLit); ok {
+			units = append(units, fl)
+		}
+		return true
+	})
+	return units
 }
 
 // mutexObject resolves an expression naming a mutex to its declaration

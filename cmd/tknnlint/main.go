@@ -1,7 +1,7 @@
 // Command tknnlint is this repository's static analyzer: it enforces the
 // invariants the compiler cannot see and `go vet` does not know about.
 //
-//	tknnlint [-json|-sarif] [-lockgraph] [packages]
+//	tknnlint [-json] [-lockgraph] [-rules] [packages]
 //
 // Packages follow the usual ./... patterns; the default is the whole
 // module. Exit status is 0 when clean, 1 when findings were reported, and
@@ -13,13 +13,11 @@
 //	float32-kernel    hot-path distance kernels must stay float32
 //	no-global-rand    library code threads seeded *rand.Rand, never the
 //	                  global generator
-//	lock-discipline   exported methods hold the mutex guarding the fields
-//	                  they touch; branchy Lock/Unlock pairs use defer
+//	lock-discipline   a non-deferred Lock and its Unlock sit in one
+//	                  block; branchy pairs use defer
 //	unchecked-errors  cmd/, internal/server, internal/wal, internal/exec,
 //	                  internal/persist, and internal/client check
 //	                  io/os/net/encoding errors
-//	copylock          no by-value receivers, parameters, or range
-//	                  variables carrying sync/atomic primitives
 //	goroutine-leak    library goroutines carry a completion signal
 //	                  (channel op, select, close, WaitGroup method)
 //	invariant-gate    internal/invariant calls sit inside an
@@ -30,8 +28,6 @@
 //	                  functions accept one, held contexts are threaded
 //	                  (never replaced by Background/TODO), and no
 //	                  struct stores a context
-//	scratch-reuse     hot functions holding a *Scratch draw per-query
-//	                  buffers from it instead of New*/Get* constructors
 //	guarded-by        fields annotated //tknn:guardedBy(mu) are accessed
 //	                  only with the named mutex statically held, verified
 //	                  interprocedurally; RLock-held writes are flagged
@@ -49,10 +45,9 @@
 // Text output and the exit status consider only active findings. -json
 // emits every finding, suppressed ones included, each object carrying
 // file/line/col, the rule name, the message, and "suppressed" — so a CI
-// artifact of the JSON output records the accepted exceptions too.
-// -sarif emits the same information as SARIF 2.1.0 (suppressed findings
-// carry an inSource suppression) for code-scanning UIs. The exit status
-// is 1 exactly when active findings exist, in all output modes.
+// artifact of the JSON output records the accepted exceptions too. The
+// exit status is 1 exactly when active findings exist, in both output
+// modes.
 //
 // -lockgraph skips linting and prints the module's lock-ordering graph
 // as DOT (see `make lockgraph` and DESIGN.md).
@@ -77,11 +72,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tknnlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
-	sarifOut := fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0")
 	lockGraph := fs.Bool("lockgraph", false, "print the lock-ordering graph as DOT and exit")
 	listRules := fs.Bool("rules", false, "print the rule catalog and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: tknnlint [-json|-sarif] [-lockgraph] [-rules] [packages]\n")
+		fmt.Fprintf(stderr, "usage: tknnlint [-json] [-lockgraph] [-rules] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -92,10 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-16s %s\n", r.Name, r.Doc)
 		}
 		return 0
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "tknnlint: -json and -sarif are mutually exclusive")
-		return 2
 	}
 
 	cwd, err := os.Getwd()
@@ -132,8 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	diags := Lint(mod, match)
 	act := active(diags)
 
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if diags == nil {
@@ -143,20 +132,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "tknnlint:", err)
 			return 2
 		}
-	case *sarifOut:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sarifReport(diags)); err != nil {
-			fmt.Fprintln(stderr, "tknnlint:", err)
-			return 2
-		}
-	default:
+	} else {
 		for _, d := range act {
 			fmt.Fprintln(stdout, d)
 		}
 	}
 	if len(act) > 0 {
-		if !*jsonOut && !*sarifOut {
+		if !*jsonOut {
 			fmt.Fprintf(stderr, "tknnlint: %d finding(s)\n", len(act))
 		}
 		return 1

@@ -10,9 +10,8 @@ import (
 
 // Rule guarded-by.
 //
-// The lock-discipline rule infers which mutex guards which field and only
-// inspects exported methods of the same package. This rule is its
-// annotation-driven, interprocedural upgrade: a struct field declared as
+// Which mutex guards which field is stated, not guessed: a struct field
+// declared as
 //
 //	blocks []Block //tknn:guardedBy(mu)
 //
@@ -42,9 +41,7 @@ import (
 // initialization needs no lock; everything else goes through
 // `//lint:ignore guarded-by reason`. Closures are separate analysis
 // units: they inherit no held locks from the enclosing function and must
-// lock for themselves or be suppressed. Types with at least one
-// annotated field drop out of lock-discipline's inference pass —
-// annotation supersedes guessing.
+// lock for themselves or be suppressed.
 const ruleGuarded = "guarded-by"
 
 // guardDirective is the raw comment prefix, Go-directive style (no space
@@ -58,7 +55,7 @@ type guardIndex struct {
 	// be held at every access.
 	fields map[*types.Var][]*types.Var
 	// annotatedTypes marks struct types carrying at least one directive;
-	// lock-discipline inference skips them.
+	// their ...Locked helpers get the call-site check.
 	annotatedTypes map[*types.TypeName]bool
 	// entry is each declared function's entry-held set after the
 	// intersection fixpoint.

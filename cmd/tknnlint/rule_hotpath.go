@@ -7,14 +7,14 @@ import (
 	"strings"
 )
 
-// Rules hotpath-alloc and scratch-reuse.
+// Rule hotpath-alloc.
 //
 // The query hot path — everything between a search entry point and its
 // merged result — is supposed to perform zero steady-state heap
 // allocations: per-query state lives in reusable Scratch buffers, and the
 // allocation gate (`make allocs-gate`: TestQueryZeroAllocs in
 // internal/core and internal/bsbf) measures exactly that. Allocation bugs regress silently: the code stays correct,
-// only the profile rots. These rules make the property structural.
+// only the profile rots. This rule makes the property structural.
 //
 // A function is *hot* when its declaration carries the
 //
@@ -49,15 +49,7 @@ import (
 // Cold-start growth (a buffer that allocates once and is retained) is the
 // intended exception: suppress the site with `//lint:ignore hotpath-alloc
 // reason`.
-//
-// scratch-reuse flags constructor calls (New*, GetScratch) inside hot
-// functions that already hold a scratch value (a parameter or receiver
-// whose type name contains "Scratch"): per-query state must come from the
-// scratch that was passed in, not be built fresh beside it.
-const (
-	ruleHotAlloc = "hotpath-alloc"
-	ruleScratch  = "scratch-reuse"
-)
+const ruleHotAlloc = "hotpath-alloc"
 
 // hotDirective is the comment that marks a hot-path root.
 const hotDirective = "//tknn:hotpath"
@@ -229,19 +221,7 @@ func (l *linter) checkHotBody(pkg *Package, decl *ast.FuncDecl, origin string) {
 
 	// parents[node] is the enclosing node, for context-sensitive checks
 	// (FuncLit position, &T{} detection, defer-in-loop).
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
+	parents := buildParents(decl.Body)
 
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch e := n.(type) {
@@ -408,75 +388,6 @@ func (l *linter) checkBoxing(pkg *Package, call *ast.CallExpr, flag func(token.P
 		}
 		flag(arg.Pos(), "%s value boxed into interface parameter allocates per query; pass a pointer or restructure the call", typeName(at))
 	}
-}
-
-// checkScratchReuse flags constructor calls inside hot functions that
-// already hold a scratch value.
-func (l *linter) checkScratchReuse(pkg *Package) {
-	hot := l.hotSet()
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			origin, isHot := hot[fn]
-			if !isHot || !holdsScratch(fd, pkg) {
-				continue
-			}
-			guards := guardedSpans(pkg, fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if posInSpans(call.Pos(), guards) {
-					return true
-				}
-				callee := calleeFunc(pkg.Info, call)
-				if callee == nil {
-					return true
-				}
-				name := callee.Name()
-				if !strings.HasPrefix(name, "New") && !strings.HasPrefix(name, "Get") {
-					return true
-				}
-				l.report(call.Pos(), ruleScratch,
-					"hot function (via %s) holds a scratch but builds fresh per-query state with %s; take the buffer from the scratch instead",
-					origin, name)
-				return true
-			})
-		}
-	}
-}
-
-// holdsScratch reports whether the declaration receives a scratch value:
-// a receiver or parameter whose (possibly pointed-to) named type contains
-// "Scratch".
-func holdsScratch(decl *ast.FuncDecl, pkg *Package) bool {
-	check := func(fl *ast.FieldList) bool {
-		if fl == nil {
-			return false
-		}
-		for _, field := range fl.List {
-			t := pkg.Info.Types[field.Type].Type
-			if t == nil {
-				continue
-			}
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if named, ok := t.(*types.Named); ok && strings.Contains(named.Obj().Name(), "Scratch") {
-				return true
-			}
-		}
-		return false
-	}
-	return check(decl.Recv) || check(decl.Type.Params)
 }
 
 // --- shared helpers ---

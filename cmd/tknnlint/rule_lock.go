@@ -1,488 +1,67 @@
 package main
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 )
 
 // Rule lock-discipline.
 //
-// The MBI index is a state machine (open leaf → sealed → built → swapped
-// into the forest) guarded by sync.RWMutex fields, and the compiler
-// verifies none of it. Two failure modes have bitten systems like this
-// (see "Data Series Indexing Gone Parallel"): an exported accessor that
-// reads tree state without taking the lock — fine under the race detector
-// until a merge cascade moves the slice out from under it — and a
-// hand-rolled Lock/Unlock pair where an early return on one branch leaks
-// the lock or double-unlocks.
+// The MBI index is a state machine guarded by sync.RWMutex fields (see
+// "Data Series Indexing Gone Parallel"), and a hand-rolled Lock/Unlock
+// pair whose Unlock sits in a different block from its Lock — released
+// on one branch and again after it — leaks the lock or double-unlocks as
+// soon as someone adds an early return between them.
 //
-// The rule is a per-package heuristic, deliberately conservative:
-//
-//   - A struct field is considered "guarded" by a mutex field of the same
-//     struct when some method assigns it after locking that mutex (or
-//     inside a method whose name ends in "Locked", this repository's
-//     convention for caller-holds-mu helpers).
-//   - Exported methods that access a guarded field without acquiring the
-//     guarding mutex anywhere in their body are flagged.
-//   - A non-deferred Lock whose matching Unlock sits in a different
-//     branch/block is flagged: that shape leaks the lock on any code path
-//     added between them later.
+// The rule replays each function unit's lock events (lockstate.go: the
+// same scope-aware events guarded-by and lock-order read) and flags a
+// non-deferred acquire whose matching non-deferred release carries a
+// different scope. A TryLock in an if condition acquires for its success
+// branch only, so the same check covers it. Which fields a mutex guards
+// is guarded-by's business, stated with //tknn:guardedBy; this rule only
+// checks the shape of the pairs.
 //
 // Function literals are analyzed as separate units: a closure passed to
 // another goroutine has its own locking obligations.
 const ruleLock = "lock-discipline"
 
-// lockMethodNames are the sync.Mutex/RWMutex methods the rule tracks.
-// TryLock/TryRLock count as acquisitions for held-ness; their pairing is
-// handled specially in checkBranchUnlock (the successful branch holds).
-var lockOps = map[string]bool{
-	"Lock": true, "RLock": true, "Unlock": true, "RUnlock": true,
-	"TryLock": true, "TryRLock": true,
-}
-
 func (l *linter) checkLockDiscipline(pkg *Package) {
-	mutexFields := mutexFieldsByType(pkg)
-
-	type methodInfo struct {
-		decl    *ast.FuncDecl
-		tn      *types.TypeName
-		recvObj types.Object // the receiver variable; nil for unnamed receivers
-	}
-	var methods []methodInfo
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			// Branch-spanning unlock applies to every function; the
-			// guarded-field analysis below only to methods of mutex-bearing
-			// types.
 			for _, unit := range funcUnits(fd.Body) {
-				l.checkBranchUnlock(pkg, fd.Name.Name, unit)
+				l.checkBranchPairs(unitLockEvents(pkg, unit), fd.Name.Name)
 			}
-			if fd.Recv == nil {
+		}
+	}
+}
+
+// checkBranchPairs matches each release to the most recent open acquire
+// of the same mutex and flavor and reports the pairs whose two halves
+// live in different blocks. A release with no open acquire unlocks a lock
+// taken elsewhere (e.g. in a caller) and is skipped.
+func (l *linter) checkBranchPairs(evts []lockEvt, fnName string) {
+	var open []lockEvt
+	for _, e := range evts {
+		if e.acquire {
+			open = append(open, e)
+			continue
+		}
+		for i := len(open) - 1; i >= 0; i-- {
+			a := open[i]
+			if a.mu != e.mu || a.flavor != e.flavor {
 				continue
 			}
-			tn, recvObj := receiverType(pkg, fd)
-			if tn == nil || len(mutexFields[tn]) == 0 || recvObj == nil {
-				continue
+			open = append(open[:i], open[i+1:]...)
+			if a.scope != e.scope {
+				l.report(a.call.Pos(), ruleLock,
+					"%s() in %s is released on a different branch without defer; a new early return between them would leak the lock — use defer or keep the pair in one block",
+					types.ExprString(a.call.Fun), fnName)
 			}
-			methods = append(methods, methodInfo{decl: fd, tn: tn, recvObj: recvObj})
-		}
-	}
-
-	// Pass 1: learn which fields are written under which mutex.
-	guarded := map[*types.TypeName]map[string]string{} // field -> guarding mutex
-	for _, m := range methods {
-		mf := mutexFields[m.tn]
-		lockedHelper := strings.HasSuffix(m.decl.Name.Name, "Locked")
-		defaultMu := defaultMutex(mf)
-		for _, unit := range funcUnits(m.decl.Body) {
-			// Positions of write-lock acquisitions per mutex field.
-			lockPos := map[string][]token.Pos{}
-			inspectUnit(unit, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if mu, op := recvMutexCall(pkg, call, m.recvObj, mf); mu != "" && op == "Lock" {
-						lockPos[mu] = append(lockPos[mu], call.Pos())
-					}
-				}
-				return true
-			})
-			record := func(field string, pos token.Pos) {
-				if guarded[m.tn] == nil {
-					guarded[m.tn] = map[string]string{}
-				}
-				if lockedHelper {
-					guarded[m.tn][field] = defaultMu
-					return
-				}
-				for mu, positions := range lockPos {
-					for _, lp := range positions {
-						if lp < pos {
-							guarded[m.tn][field] = mu
-							return
-						}
-					}
-				}
-			}
-			inspectUnit(unit, func(n ast.Node) bool {
-				switch s := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range s.Lhs {
-						if field := recvField(pkg, lhs, m.recvObj, mf); field != "" {
-							if lockedHelper || len(lockPos) > 0 {
-								record(field, lhs.Pos())
-							}
-						}
-					}
-				case *ast.IncDecStmt:
-					if field := recvField(pkg, s.X, m.recvObj, mf); field != "" {
-						if lockedHelper || len(lockPos) > 0 {
-							record(field, s.X.Pos())
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-
-	// Pass 2: exported methods touching guarded fields without the lock.
-	for _, m := range methods {
-		name := m.decl.Name.Name
-		if !ast.IsExported(name) || strings.HasSuffix(name, "Locked") {
-			continue
-		}
-		if l.guardIndex().annotatedTypes[m.tn] {
-			// The type opted into //tknn:guardedBy: the guarded-by rule
-			// verifies it interprocedurally, so the heuristic stands down.
-			continue
-		}
-		g := guarded[m.tn]
-		if len(g) == 0 {
-			continue
-		}
-		mf := mutexFields[m.tn]
-		held := map[string]bool{}
-		ast.Inspect(m.decl.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if mu, op := recvMutexCall(pkg, call, m.recvObj, mf); mu != "" && op != "Unlock" && op != "RUnlock" {
-					held[mu] = true // Lock, RLock, or a Try variant
-				}
-			}
-			return true
-		})
-		reported := map[string]bool{}
-		// Only the method's own statements: accesses inside nested
-		// closures may run under locks taken elsewhere, so they are
-		// excluded rather than guessed at.
-		inspectUnit(m.decl.Body, func(n ast.Node) bool {
-			field := recvField(pkg, n, m.recvObj, mf)
-			if field == "" || reported[field] {
-				return true
-			}
-			mu, ok := g[field]
-			if !ok || held[mu] {
-				return true
-			}
-			reported[field] = true
-			l.report(n.Pos(), ruleLock,
-				"exported method %s accesses %s.%s without holding %s (the field is written under %s elsewhere in this package)",
-				name, m.recvObj.Name(), field, mu, mu)
-			return true
-		})
-	}
-}
-
-// mutexFieldsByType maps each named struct type of the package to its
-// sync.Mutex / sync.RWMutex field names.
-func mutexFieldsByType(pkg *Package) map[*types.TypeName][]string {
-	out := map[*types.TypeName][]string{}
-	if pkg.Types == nil {
-		return out
-	}
-	scope := pkg.Types.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if isSyncMutex(st.Field(i).Type()) {
-				out[tn] = append(out[tn], st.Field(i).Name())
-			}
-		}
-	}
-	return out
-}
-
-// defaultMutex picks the mutex that *Locked helper methods are assumed to
-// run under: the conventional "mu" if present, else the first declared.
-func defaultMutex(fields []string) string {
-	for _, f := range fields {
-		if f == "mu" {
-			return f
-		}
-	}
-	sorted := append([]string(nil), fields...)
-	sort.Strings(sorted)
-	return sorted[0]
-}
-
-func isSyncMutex(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
-// receiverType resolves a method declaration to its receiver's type name
-// and receiver variable object.
-func receiverType(pkg *Package, fd *ast.FuncDecl) (*types.TypeName, types.Object) {
-	if len(fd.Recv.List) != 1 || len(fd.Recv.List[0].Names) != 1 {
-		return nil, nil
-	}
-	recvIdent := fd.Recv.List[0].Names[0]
-	obj := pkg.Info.Defs[recvIdent]
-	if obj == nil {
-		return nil, nil
-	}
-	t := obj.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil, nil
-	}
-	return named.Obj(), obj
-}
-
-// recvMutexCall matches recv.<mutexField>.<op>() and returns the mutex
-// field and operation, or "", "".
-func recvMutexCall(pkg *Package, call *ast.CallExpr, recvObj types.Object, mutexFields []string) (string, string) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !lockOps[sel.Sel.Name] {
-		return "", ""
-	}
-	inner, ok := unparen(sel.X).(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	id, ok := unparen(inner.X).(*ast.Ident)
-	if !ok || pkg.Info.Uses[id] != recvObj {
-		return "", ""
-	}
-	for _, mf := range mutexFields {
-		if inner.Sel.Name == mf {
-			return mf, sel.Sel.Name
-		}
-	}
-	return "", ""
-}
-
-// recvField matches a recv.<field> selector (for a non-mutex field) and
-// returns the field name, or "".
-func recvField(pkg *Package, n ast.Node, recvObj types.Object, mutexFields []string) string {
-	sel, ok := n.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	id, ok := unparen(sel.X).(*ast.Ident)
-	if !ok || pkg.Info.Uses[id] != recvObj {
-		return ""
-	}
-	s, ok := pkg.Info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return ""
-	}
-	name := sel.Sel.Name
-	for _, mf := range mutexFields {
-		if name == mf {
-			return ""
-		}
-	}
-	return name
-}
-
-// funcUnits returns body plus every function literal beneath it, each to
-// be analyzed as an independent unit.
-func funcUnits(body *ast.BlockStmt) []ast.Node {
-	units := []ast.Node{body}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			units = append(units, fl)
-		}
-		return true
-	})
-	return units
-}
-
-// inspectUnit walks a unit without descending into nested function
-// literals (they are their own units).
-func inspectUnit(unit ast.Node, fn func(ast.Node) bool) {
-	ast.Inspect(unit, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok && n != unit {
-			return false
-		}
-		return fn(n)
-	})
-}
-
-// tryLockKey renders the receiver of a (possibly negated) TryLock
-// condition, matching the key addCall produces for plain lock calls.
-func tryLockKey(cond ast.Expr) string {
-	e := unparen(cond)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.NOT {
-		e = unparen(u.X)
-	}
-	if call, ok := e.(*ast.CallExpr); ok {
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-			return types.ExprString(sel.X)
-		}
-	}
-	return ""
-}
-
-// lockEvent is one Lock/Unlock call found during the branch scan.
-type lockEvent struct {
-	key       string // printed receiver expression, e.g. "ix.mu"
-	op        string
-	deferred  bool
-	pos       token.Pos
-	container ast.Node // the node owning the statement list the call sits in
-}
-
-// checkBranchUnlock flags non-deferred Lock/Unlock pairs whose two halves
-// live in different statement lists.
-func (l *linter) checkBranchUnlock(pkg *Package, fnName string, unit ast.Node) {
-	var body *ast.BlockStmt
-	switch u := unit.(type) {
-	case *ast.BlockStmt:
-		body = u
-	case *ast.FuncLit:
-		body = u.Body
-	default:
-		return
-	}
-	var events []lockEvent
-	var walkList func(list []ast.Stmt, owner ast.Node)
-	addCall := func(x ast.Expr, deferred bool, owner ast.Node) {
-		call, ok := unparen(x).(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || !lockOps[sel.Sel.Name] {
-			return
-		}
-		t, ok := pkg.Info.Types[sel.X]
-		if !ok || !isSyncMutex(t.Type) {
-			return
-		}
-		events = append(events, lockEvent{
-			key:       types.ExprString(sel.X),
-			op:        sel.Sel.Name,
-			deferred:  deferred,
-			pos:       call.Pos(),
-			container: owner,
-		})
-	}
-	walkStmt := func(s ast.Stmt, owner ast.Node) {
-		switch st := s.(type) {
-		case *ast.ExprStmt:
-			addCall(st.X, false, owner)
-		case *ast.DeferStmt:
-			addCall(st.Call, true, owner)
-		case *ast.BlockStmt:
-			walkList(st.List, st)
-		case *ast.IfStmt:
-			// A TryLock in the condition acquires the lock for exactly one
-			// branch: the success body for `if mu.TryLock()`, the code
-			// after the statement for `if !mu.TryLock() { return }`.
-			if _, flavor, negated, ok := tryLockCond(pkg, st.Cond); ok {
-				op := "TryLock"
-				if flavor == heldR {
-					op = "TryRLock"
-				}
-				container := ast.Node(st.Body)
-				if negated {
-					container = owner
-				}
-				events = append(events, lockEvent{
-					key:       tryLockKey(st.Cond),
-					op:        op,
-					pos:       st.Cond.Pos(),
-					container: container,
-				})
-			}
-			walkList(st.Body.List, st.Body)
-			if st.Else != nil {
-				walkList([]ast.Stmt{st.Else}, owner)
-			}
-		case *ast.ForStmt:
-			walkList(st.Body.List, st.Body)
-		case *ast.RangeStmt:
-			walkList(st.Body.List, st.Body)
-		case *ast.SwitchStmt:
-			for _, c := range st.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkList(cc.Body, cc)
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range st.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkList(cc.Body, cc)
-				}
-			}
-		case *ast.SelectStmt:
-			for _, c := range st.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					walkList(cc.Body, cc)
-				}
-			}
-		case *ast.LabeledStmt:
-			walkList([]ast.Stmt{st.Stmt}, owner)
-		}
-		// GoStmt bodies run on another goroutine and FuncLit bodies are
-		// separate units; neither is traversed here.
-	}
-	walkList = func(list []ast.Stmt, owner ast.Node) {
-		for _, s := range list {
-			walkStmt(s, owner)
-		}
-	}
-	walkList(body.List, body)
-
-	type openKey struct{ key, flavor string }
-	open := map[openKey]lockEvent{}
-	flavor := func(op string) string {
-		if strings.HasPrefix(strings.TrimPrefix(op, "Try"), "R") {
-			return "R"
-		}
-		return "W"
-	}
-	for _, ev := range events {
-		k := openKey{ev.key, flavor(ev.op)}
-		switch ev.op {
-		case "Lock", "RLock", "TryLock", "TryRLock":
-			if !ev.deferred {
-				open[k] = ev
-			}
-		case "Unlock", "RUnlock":
-			lk, ok := open[k]
-			if !ok {
-				continue // unlock of a lock taken elsewhere (e.g. in a caller)
-			}
-			delete(open, k)
-			if ev.deferred || lk.container == ev.container {
-				continue
-			}
-			l.report(lk.pos, ruleLock,
-				fmt.Sprintf("%s.%s() in %s is released on a different branch without defer; a new early return between them would leak the lock — use defer or keep the pair in one block",
-					lk.key, lk.op, fnName))
+			break
 		}
 	}
 }

@@ -24,7 +24,8 @@ import (
 // edge. Locks are type-level objects (Index.mu, Manager.cpMu, a
 // package-level var); self-edges (A while A) are dropped — at type
 // level they are almost always two different instances, and real
-// re-entrancy is lock-discipline's problem. Closures contribute only
+// re-entrancy deadlocks on its first run, where any test sees it — no
+// analysis is needed for that. Closures contribute only
 // the edges visible inside their own bodies.
 //
 // One finding is reported per cycle, at a deterministic witness: the

@@ -1,59 +1,59 @@
-// Package reg exercises both halves of the lock-discipline rule: the
-// guarded-field heuristic and the branch-spanning unlock check.
+// Package reg exercises the lock-discipline rule: a non-deferred Lock
+// whose Unlock sits in a different block is flagged at the Lock; pairs in
+// one block, deferred unlocks, and releases of a caller's lock are clean.
 package reg
 
 import "sync"
 
-// Registry guards count and hits with mu. Add teaches the analyzer the
-// guard on count (write after mu.Lock); resetLocked teaches it the guard
-// on hits (write inside a *Locked helper).
+// Registry guards count with mu. The rule reads lock calls only; which
+// fields mu guards is the guarded-by rule's business.
 type Registry struct {
 	mu    sync.RWMutex
 	count int
-	hits  int
-	name  string // never written in a method: unguarded
 }
 
-// Add establishes that count is written under mu.
+// Add defers the unlock: clean.
 func (r *Registry) Add() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.count++
 }
 
-// resetLocked follows the caller-holds-mu naming convention; its write
-// still marks hits as guarded.
-func (r *Registry) resetLocked() {
-	r.hits = 0
-}
-
-// Peek reads the guarded count without any lock: flagged.
-func (r *Registry) Peek() int {
-	return r.count
-}
-
-// Hits reads a field only ever written by a *Locked helper, again without
-// the lock: flagged.
-func (r *Registry) Hits() int {
-	return r.hits
-}
-
-// Len holds the read lock: clean.
+// Len keeps the read pair in one block: clean.
 func (r *Registry) Len() int {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.count
+	n := r.count
+	r.mu.RUnlock()
+	return n
 }
 
-// Name reads an unguarded field: clean.
-func (r *Registry) Name() string {
-	return r.name
-}
-
-// Reset writes a guarded field lock-free but documents why: suppressed.
-func (r *Registry) Reset() {
-	//lint:ignore lock-discipline callers run Reset before any goroutines start
+// unlockLocked releases the lock its caller took: the unit has no open
+// acquire to pair it with.
+func (r *Registry) unlockLocked() {
 	r.count = 0
+	r.mu.Unlock()
+}
+
+// Reset releases on a branch like Drain does, but documents why:
+// suppressed.
+func (r *Registry) Reset(force bool) {
+	//lint:ignore lock-discipline the force path is the documented shutdown shortcut
+	r.mu.Lock()
+	if force {
+		r.count = 0
+		r.mu.Unlock()
+		return
+	}
+	r.mu.Unlock()
+}
+
+// Async's closure is its own unit, its pair in one block: clean.
+func (r *Registry) Async() func() {
+	return func() {
+		r.mu.Lock()
+		r.count++
+		r.mu.Unlock()
+	}
 }
 
 // Drain releases the lock on one branch and at the end of the function —
@@ -73,20 +73,20 @@ func (r *Registry) Drain(flush bool) int {
 }
 
 // swap keeps the pair in one block: clean even without defer.
-func (r *Registry) swap(n int) int {
+func (r *Registry) swap(n int) (old int) {
 	r.mu.Lock()
-	old := r.count
-	r.count = n
+	old, r.count = r.count, n
 	r.mu.Unlock()
 	return old
 }
 
-// Touch holds the write lock while updating both fields: clean.
-func (r *Registry) Touch() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.count++
-	r.hits++
+// Touch pairs the lock inside one loop body: clean.
+func (r *Registry) Touch(n int) {
+	for ; n > 0; n-- {
+		r.mu.Lock()
+		r.count++
+		r.mu.Unlock()
+	}
 }
 
 // TryDrain acquires via TryLock but releases on a different branch:

@@ -102,9 +102,9 @@ func (s *Scratch) ensureLUT(slot, n int) []float32 {
 // ensureWorkers guarantees one graph searcher and one LUT slot per worker.
 func (s *Scratch) ensureWorkers(w int) {
 	for len(s.searchers) < w {
-		//lint:ignore hotpath-alloc,scratch-reuse cold-start growth; searchers persist across queries
+		//lint:ignore hotpath-alloc cold-start growth; searchers persist across queries
 		s.searchers = append(s.searchers, graph.NewSearcher(0))
-		//lint:ignore hotpath-alloc,scratch-reuse cold-start growth; LUT slots persist across queries
+		//lint:ignore hotpath-alloc cold-start growth; LUT slots persist across queries
 		s.luts = append(s.luts, nil)
 	}
 }

@@ -16,13 +16,19 @@ import (
 	tknn "repro"
 )
 
-func newTestServer(t *testing.T) (*Server, *httptest.Server) {
-	t.Helper()
+// newMemServer wraps a small in-memory MBI (dim 4, leaf 8) in a Server.
+func newMemServer(tb testing.TB) *Server {
+	tb.Helper()
 	ix, err := tknn.NewMBI(tknn.MBIOptions{Dim: 4, LeafSize: 8, GraphDegree: 4})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	s := New(ix)
+	return New(ix)
+}
+
+func newTestServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
+	s := newMemServer(t)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -6,9 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/ivf"
-	"repro/internal/theap"
 )
 
 // IVFOptions configures an inverted-file (IVF-Flat) index.
@@ -68,10 +66,10 @@ func (o *IVFOptions) ApplyDefaults() error {
 // its profile fits.
 type IVF struct {
 	opts       IVFOptions
-	inner      *ivf.Index
+	inner      *ivf.Index //tknn:guardedBy(mu)
 	mu         sync.RWMutex
-	sinceBuild int
-	rebuilds   int
+	sinceBuild int //tknn:guardedBy(mu)
+	rebuilds   int //tknn:guardedBy(mu)
 }
 
 // NewIVF creates an empty IVF index.
@@ -163,11 +161,15 @@ func (x *IVF) SearchDetailed(ctx context.Context, q Query, nprobe int) ([]Result
 	if nprobe <= 0 {
 		return nil, SearchInfo{}, fmt.Errorf("%w: nprobe = %d", ErrBadQuery, nprobe)
 	}
+	if err := validateQuery(q, x.opts.Dim); err != nil {
+		return nil, SearchInfo{}, err
+	}
+	scr := core.GetScratch()
+	defer core.PutScratch(scr)
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return searchDetailed(q, x.opts.Dim, x.inner.Times, func(scr *core.Scratch) ([]theap.Neighbor, exec.Outcome) {
-		return x.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, nprobe)
-	})
+	ns, out := x.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, nprobe)
+	return toResults(ns, x.inner.Times()), infoFrom(out), nil
 }
 
 // SearchBatchContext fans queries across workers goroutines with the same

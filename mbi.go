@@ -7,13 +7,11 @@ import (
 
 	"repro/internal/blockcache"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/nndescent"
 	"repro/internal/nsw"
 	"repro/internal/persist"
 	"repro/internal/sq"
-	"repro/internal/theap"
 )
 
 // GraphAlgorithm selects the per-block proximity-graph construction
@@ -327,9 +325,13 @@ func (m *MBI) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInfo
 // tuned table once AutoTuneTau has set one; a non-nil explain receives the
 // executed plan.
 func (m *MBI) search(ctx context.Context, q Query, explain *core.Plan) ([]Result, SearchInfo, error) {
-	return searchDetailed(q, m.opts.Dim, m.inner.Times, func(scr *core.Scratch) ([]theap.Neighbor, exec.Outcome) {
-		return m.inner.Query(ctx, scr, core.Request{Q: q.Vector, K: q.K, Ts: q.Start, Te: q.End, TauTable: m.tauTable, Explain: explain})
-	})
+	if err := validateQuery(q, m.opts.Dim); err != nil {
+		return nil, SearchInfo{}, err
+	}
+	scr := core.GetScratch()
+	defer core.PutScratch(scr)
+	ns, out := m.inner.Query(ctx, scr, core.Request{Q: q.Vector, K: q.K, Ts: q.Start, Te: q.End, TauTable: m.tauTable, Explain: explain})
+	return toResults(ns, m.inner.Times()), infoFrom(out), nil
 }
 
 // SearchBatch answers many queries, fanning them across workers

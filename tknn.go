@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/theap"
 	"repro/internal/vec"
@@ -117,22 +116,6 @@ func infoFrom(out exec.Outcome) SearchInfo {
 	return SearchInfo{Partial: out.Partial, Select: out.Select, Search: out.Search, Merge: out.Merge, Rerank: out.Rerank, Fetch: out.Fetch}
 }
 
-// searchDetailed is the one SearchDetailed body behind all four facades:
-// validate the query, borrow a scratch, run the inner index's Query body on
-// it, and convert the scratch-aliased neighbors straight into results —
-// resolved against times, read after the query — before the scratch goes
-// back to its pool. A facade that guards its inner index holds its read
-// lock across the call.
-func searchDetailed(q Query, dim int, times func() []int64, run func(*core.Scratch) ([]theap.Neighbor, exec.Outcome)) ([]Result, SearchInfo, error) {
-	if err := validateQuery(q, dim); err != nil {
-		return nil, SearchInfo{}, err
-	}
-	scr := core.GetScratch()
-	defer core.PutScratch(scr)
-	ns, out := run(scr)
-	return toResults(ns, times()), infoFrom(out), nil
-}
-
 // searchBatchCtx fans queries across workers with first-error-aborts
 // batch semantics, shared by every SearchBatchContext.
 func searchBatchCtx(ctx context.Context, queries []Query, workers int, search func(context.Context, Query) ([]Result, error)) ([][]Result, error) {
@@ -209,6 +192,12 @@ func validateQuery(q Query, dim int) error {
 }
 
 // toResults converts internal neighbors (global ids) to public results.
+// Every facade's SearchDetailed has one shape around it: validate the
+// query, borrow a core.Scratch, call the inner index's Query body in its
+// own body (under the facade's read lock, where it has one — no closure,
+// so tknnlint's lock analysis sees the call), and convert the
+// scratch-aliased neighbors here, against times read after the query,
+// before the scratch goes back to its pool.
 func toResults(ns []theap.Neighbor, times []int64) []Result {
 	out := make([]Result, len(ns))
 	for i, n := range ns {
