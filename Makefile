@@ -1,5 +1,6 @@
-# Developer entry points. `make check` is the full CI gate; the individual
-# targets mirror the named steps in .github/workflows/ci.yml.
+# Developer entry points. `make check` is the full CI gate; each named step
+# in .github/workflows/ci.yml calls one of these targets, so the package
+# list of every gate lives here and only here.
 
 GO ?= go
 
@@ -61,15 +62,23 @@ lockgraph-check:
 
 # Deep-validation build: the whole suite with runtime invariant assertions
 # compiled in (internal/invariant), including the differential oracle
-# sweep in internal/oracle.
+# sweep in internal/oracle, then the race detector over the packages whose
+# assertions run inside locks.
+INVARIANTS_RACE_PKGS = ./internal/core/ ./internal/theap/ ./internal/wal/ ./internal/oracle/
+
 invariants:
 	$(GO) test -tags tknn_invariants ./...
+	$(GO) test -tags tknn_invariants -race $(INVARIANTS_RACE_PKGS)
 
 # Fault-injection build: the whole suite with the internal/fault hooks
 # compiled in (build tag tknn_fault), including the injected-failure WAL
-# recovery tests. Default builds compile the hooks out entirely.
+# recovery tests, then the race detector over the packages with injection
+# points. Default builds compile the hooks out entirely.
+FAULTS_RACE_PKGS = ./internal/fault/ ./internal/wal/ ./internal/server/ ./internal/blockcache/
+
 faults:
 	$(GO) test -tags tknn_fault ./...
+	$(GO) test -tags tknn_fault -race $(FAULTS_RACE_PKGS)
 
 # Crash-recovery gate: the kill-at-random-offset and torn-tail tests with
 # fresh state (-count=1), then the whole WAL package under the race

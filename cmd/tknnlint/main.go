@@ -10,32 +10,20 @@
 // Rules (see `tknnlint -rules` and DESIGN.md "Static analysis & CI
 // gates"):
 //
-//	float32-kernel    hot-path distance kernels must stay float32
-//	no-global-rand    library code threads seeded *rand.Rand, never the
-//	                  global generator
 //	lock-discipline   a non-deferred Lock and its Unlock sit in one
 //	                  block; branchy pairs use defer
 //	unchecked-errors  cmd/, internal/server, internal/wal, internal/exec,
 //	                  internal/persist, and internal/client check
 //	                  io/os/net/encoding errors
-//	goroutine-leak    library goroutines carry a completion signal
-//	                  (channel op, select, close, WaitGroup method)
 //	invariant-gate    internal/invariant calls sit inside an
 //	                  `if invariant.Enabled` guard
 //	hotpath-alloc     //tknn:hotpath functions and their transitive
 //	                  callees perform no per-query heap allocations
-//	ctx-discipline    query-path packages take context first, *Context
-//	                  functions accept one, held contexts are threaded
-//	                  (never replaced by Background/TODO), and no
-//	                  struct stores a context
 //	guarded-by        fields annotated //tknn:guardedBy(mu) are accessed
 //	                  only with the named mutex statically held, verified
 //	                  interprocedurally; RLock-held writes are flagged
 //	lock-order        acquire-while-holding edges form a module-wide
 //	                  lock-ordering graph; cycles are potential deadlocks
-//	untrusted-size    internal/persist and internal/wal never size an
-//	                  allocation from a decoded value without a bound
-//	                  check in between
 //
 // Any finding can be suppressed, one site at a time, with a trailing or
 // preceding comment:

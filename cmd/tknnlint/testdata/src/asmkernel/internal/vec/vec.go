@@ -1,8 +1,7 @@
-// Package vec mirrors the real kernel dispatch: a hot-path function in a
-// float32-kernel package whose callee is declared without a body because
-// its code lives in assembly. Both hotpath-alloc and float32-kernel have
-// no body to walk there and must skip it silently — treat it as a leaf
-// that neither allocates nor widens — rather than crash or report.
+// Package vec mirrors the real kernel dispatch: a hot-path function whose
+// callee is declared without a body because its code lives in assembly.
+// hotpath-alloc has no body to walk there and must skip it silently —
+// treat it as a leaf that does not allocate — rather than crash or report.
 package vec
 
 // dotAsm is assembly-backed (kernel.s).

@@ -2,10 +2,7 @@
 // report nothing and exit zero here.
 package clean
 
-import (
-	"math/rand"
-	"sync"
-)
+import "sync"
 
 // Counter is fully disciplined: every access holds mu.
 type Counter struct {
@@ -25,10 +22,4 @@ func (c *Counter) Value() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.n
-}
-
-// Sample threads a seeded generator.
-func Sample(seed int64, n int) int {
-	rng := rand.New(rand.NewSource(seed))
-	return rng.Intn(n)
 }

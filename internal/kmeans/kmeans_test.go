@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -88,19 +89,37 @@ func TestRunAssignmentsConsistent(t *testing.T) {
 	}
 }
 
+// TestRunDeterministic: one seed, one answer, to the bit. Unstructured
+// points have many local optima, so a draw from anywhere but the seeded
+// generator changes the centroids, not just the cluster labels.
 func TestRunDeterministic(t *testing.T) {
-	view, _ := blobs(3, 3, 50)
-	a, err := Run(view, Config{K: 3}, 11)
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(5))
+	s := vec.NewStore(4)
+	for i := 0; i < 300; i++ {
+		v := []float32{float32(rng.Float64()), float32(rng.Float64()), float32(rng.Float64()), float32(rng.Float64())}
+		if _, err := s.Append(v); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b, err := Run(view, Config{K: 3}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Assign {
-		if a.Assign[i] != b.Assign[i] {
-			t.Fatalf("assignment %d differs between same-seed runs", i)
+	blobView, _ := blobs(3, 3, 50)
+	for _, view := range []vec.View{blobView, {Store: s, Lo: 0, Hi: s.Len(), Metric: vec.Euclidean}} {
+		a, err := Run(view, Config{K: 12}, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(view, Config{K: 12}, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.Assign {
+			if a.Assign[i] != b.Assign[i] {
+				t.Fatalf("assignment %d differs between same-seed runs", i)
+			}
+		}
+		for i, x := range a.Centroids.Raw() {
+			if math.Float32bits(x) != math.Float32bits(b.Centroids.Raw()[i]) {
+				t.Fatalf("centroid coordinate %d differs between same-seed runs", i)
+			}
 		}
 	}
 }

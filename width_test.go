@@ -247,3 +247,58 @@ func TestOneRuleFourIndexes(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelledContextReachesEveryIndex: a query's context must reach the
+// executor of every index, so an already-cancelled one runs no subtask —
+// the answer is Partial and not an error. An index that replaced the
+// caller's context with a fresh one would answer in full.
+func TestCancelledContextReachesEveryIndex(t *testing.T) {
+	const dim, n = 8, 400
+	vs := randClustered(41, n, dim)
+	mbi, err := tknn.NewMBI(tknn.MBIOptions{Dim: dim, LeafSize: 32, GraphDegree: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := tknn.NewBSBF(dim, tknn.Euclidean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sfIx, err := tknn.NewSF(tknn.SFOptions{Dim: dim, GraphDegree: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ivfIx, err := tknn.NewIVF(tknn.IVFOptions{Dim: dim, Lists: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vs {
+		for _, ix := range []tknn.Index{mbi, bs, sfIx, ivfIx} {
+			if err := ix.Add(v, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sfIx.Build()
+	if err := ivfIx.Build(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	q := tknn.Query{Vector: vs[7], K: 5, Start: 0, End: n}
+	for _, c := range []struct {
+		name   string
+		search func() ([]tknn.Result, tknn.SearchInfo, error)
+	}{
+		{"mbi", func() ([]tknn.Result, tknn.SearchInfo, error) { return mbi.SearchDetailed(ctx, q) }},
+		{"bsbf", func() ([]tknn.Result, tknn.SearchInfo, error) { return bs.SearchDetailed(ctx, q) }},
+		{"sf", func() ([]tknn.Result, tknn.SearchInfo, error) { return sfIx.SearchDetailed(ctx, q) }},
+		{"ivf", func() ([]tknn.Result, tknn.SearchInfo, error) { return ivfIx.SearchDetailed(ctx, q, 4) }},
+	} {
+		res, info, err := c.search()
+		if err != nil || !info.Partial {
+			t.Errorf("%s: cancelled query = %d results, Partial %v, err %v; want Partial and no error",
+				c.name, len(res), info.Partial, err)
+		}
+	}
+}
