@@ -36,14 +36,21 @@ race:
 # The pure-Go distance kernels (internal/vec/kernel.go) are what runs without
 # AVX2 and on every other GOARCH, and the assembly's differential reference:
 # the packages whose results depend on the kernel's bits (goldens, oracle,
-# async-vs-sync) must pass on them too, and the arm64 cross-build keeps the
-# fallback file compiling.
-PUREGO_PKGS = . ./internal/vec ./internal/graph ./internal/nndescent ./internal/persist ./internal/oracle ./internal/core
+# async-vs-sync, compressed walks and scans) must pass on them too, and the
+# arm64 cross-build keeps the fallback file compiling. The Go twins match
+# the assembly only if every product is rounded before its add, so the
+# arm64 compile of internal/vec (a GOARCH whose compiler fuses) must hold no
+# fused multiply-add; the listing must name a kernel, or the check proves
+# nothing.
+PUREGO_PKGS = . ./internal/vec ./internal/graph ./internal/nndescent ./internal/persist ./internal/oracle ./internal/core ./internal/sq ./internal/exec ./internal/bsbf
 
 purego:
 	$(GO) test -tags purego $(PUREGO_PKGS)
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/vec
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/vec 2>&1) || { echo "$$asm"; exit 1; }; \
+	echo "$$asm" | grep -q 'squaredL2CodesGo' || { echo "purego: no arm64 listing of internal/vec's kernels"; exit 1; }; \
+	if echo "$$asm" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB'; then echo "purego: fused multiply-add in internal/vec's arm64 build"; exit 1; fi
 
 lint:
 	$(GO) run ./cmd/tknnlint ./...

@@ -60,10 +60,9 @@ type SQReport struct {
 	CompressedBlocks int   `json:"compressed_blocks"`
 	CodeBytes        int64 `json:"code_bytes"`
 	// ScanGBps is asymmetric-kernel throughput in code bytes per second:
-	// FillLUT once per query, then LUTDist over every row.
+	// Codes.Dist over every row, as the compressed scans and walks run it.
 	ScanGBps float64 `json:"scan_gbps"`
-	// NsPerDistance is the amortized cost of one LUT distance, including
-	// the per-query LUT fill.
+	// NsPerDistance is the cost of one Codes.Dist.
 	NsPerDistance float64 `json:"ns_per_distance"`
 	// FlatRecall is the flat index's recall@k against brute force — the
 	// ceiling the compressed points are chasing.
@@ -124,7 +123,6 @@ func SQExperiment(c Config, w io.Writer, jsonPath string) (SQReport, error) {
 	report.CodeBytesPerVector = float64(codes.Bytes()) / float64(codes.N)
 	report.MemoryReduction = float64(report.FloatBytesPerVector) / report.CodeBytesPerVector
 
-	lut := make([]float32, codes.LUTLen())
 	scanQueries := d.Test
 	if len(scanQueries) > 32 {
 		scanQueries = scanQueries[:32]
@@ -132,10 +130,9 @@ func SQExperiment(c Config, w io.Writer, jsonPath string) (SQReport, error) {
 	var sink float32
 	start := time.Now()
 	for _, q := range scanQueries {
-		codes.FillLUT(p.Metric, q, lut)
 		qn := vec.Norm(q)
 		for i := 0; i < codes.N; i++ {
-			sink += codes.LUTDist(p.Metric, lut, qn, i)
+			sink += codes.Dist(p.Metric, q, qn, i)
 		}
 	}
 	elapsed := time.Since(start)

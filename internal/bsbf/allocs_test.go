@@ -67,7 +67,7 @@ func TestQueryZeroAllocs(t *testing.T) {
 
 // TestQueryCompressedZeroAllocs extends the gate to the SQ8 path:
 // with chunked compression on, the same window scans sealed chunks
-// through the asymmetric LUT kernel and re-ranks survivors exactly, all
+// through the asymmetric code kernel and re-ranks survivors exactly, all
 // from the caller-owned exec.Scratch — still zero heap traffic.
 func TestQueryCompressedZeroAllocs(t *testing.T) {
 	if invariant.Enabled {

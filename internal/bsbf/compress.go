@@ -12,7 +12,7 @@ import (
 // is the cleanest place to measure what SQ8 buys. With compression enabled
 // the index seals each full ChunkSize-row run of appends into a per-chunk
 // scalar quantizer; windowed queries scan sealed chunks through the
-// asymmetric LUT kernel (1 byte/coordinate instead of 4) with an exact
+// asymmetric code kernel (1 byte/coordinate instead of 4) with an exact
 // re-rank, and brute-force only the unsealed tail.
 
 // Config selects the optional compression behavior of a BSBF index.

@@ -56,8 +56,8 @@ func TestQueryZeroAllocs(t *testing.T) {
 }
 
 // TestQueryCompressedZeroAllocs extends the gate to the SQ8 path:
-// with compression on, the same query runs the code-space graph search,
-// LUT fill, and exact re-rank — all from Scratch arenas — and must stay
+// with compression on, the same query runs the code-space graph search
+// and exact re-rank — all from Scratch arenas — and must stay
 // off the heap just like the flat path. The plan is checked to actually
 // contain compressed blocks so the gate cannot silently measure a flat
 // fallback.

@@ -47,7 +47,6 @@ type Scratch struct {
 	tops      []theap.TopK
 	rtops     []theap.TopK      // per-subtask exact re-rank heaps (compressed kinds): tops[i] holds the over-fetched candidates while rtops[i] collects the re-scored top-k, because TopK.Items aliases its backing and cannot be refilled while iterated
 	searchers []*graph.Searcher // one per worker slot
-	luts      [][]float32       // per-worker-slot asymmetric-distance tables (dim·256 floats, grown on first compressed subtask)
 	merger    theap.Merger
 	next      atomic.Int64 // parallel-mode claim counter
 }
@@ -89,23 +88,11 @@ func (s *Scratch) ensure(n int) {
 	s.rtops = rgrown
 }
 
-// ensureLUT returns worker slot's lookup-table buffer with length >= n,
-// growing it on first use like every other scratch arena.
-func (s *Scratch) ensureLUT(slot, n int) []float32 {
-	if cap(s.luts[slot]) < n {
-		//lint:ignore hotpath-alloc cold-start growth; the table is retained for every later query on this scratch
-		s.luts[slot] = make([]float32, n)
-	}
-	return s.luts[slot][:n]
-}
-
-// ensureWorkers guarantees one graph searcher and one LUT slot per worker.
+// ensureWorkers guarantees one graph searcher per worker.
 func (s *Scratch) ensureWorkers(w int) {
 	for len(s.searchers) < w {
 		//lint:ignore hotpath-alloc cold-start growth; searchers persist across queries
 		s.searchers = append(s.searchers, graph.NewSearcher(0))
-		//lint:ignore hotpath-alloc cold-start growth; LUT slots persist across queries
-		s.luts = append(s.luts, nil)
 	}
 }
 
@@ -169,7 +156,7 @@ func (s *Scratch) runSubtask(ctx context.Context, p *Plan, i, slot int) []theap.
 	case CompressedGraph:
 		return s.compressedGraphKernel(st, p.Query, p.K, top, i, slot)
 	case CompressedScan:
-		return s.compressedScanKernel(ctx, st, p.Query, p.K, top, i, slot)
+		return s.compressedScanKernel(ctx, st, p.Query, p.K, top, i)
 	}
 	if st.List != nil {
 		ScanListInto(ctx, top, st.Store, st.Metric, p.Query, st.List)
@@ -209,32 +196,29 @@ func (s *Scratch) graphKernel(st *Subtask, q []float32, k int, top *theap.TopK, 
 // compressedScanKernel answers a CompressedScan subtask: an asymmetric
 // linear scan of the block's SQ8 codes over the window rows [ScanLo,
 // ScanHi), over-fetching RerankK candidates into top, then the exact
-// float32 re-rank keeps the true top k. The LUT is per worker slot and
-// rebuilt per subtask; candidate ids are global throughout (codes row g
-// maps to global row st.Lo+g).
+// float32 re-rank keeps the true top k. Candidate ids are global
+// throughout (codes row g maps to global row st.Lo+g).
 //
 //tknn:hotpath
-func (s *Scratch) compressedScanKernel(ctx context.Context, st *Subtask, q []float32, k int, top *theap.TopK, i, slot int) []theap.Neighbor {
+func (s *Scratch) compressedScanKernel(ctx context.Context, st *Subtask, q []float32, k int, top *theap.TopK, i int) []theap.Neighbor {
 	rk := RerankK(k, 0, st.ScanHi-st.ScanLo)
 	if st.RerankK > 0 {
 		rk = st.RerankK
 	}
 	top.ResetK(rk)
-	lut := s.ensureLUT(slot, st.Codes.LUTLen())
-	st.Codes.FillLUT(st.Metric, q, lut)
 	qn := vec.Norm(q)
 	for g := st.ScanLo; g < st.ScanHi; g++ {
 		if (g-st.ScanLo)%scanPoll == scanPoll-1 && ctx.Err() != nil {
 			break
 		}
-		top.Push(theap.Neighbor{ID: int32(g), Dist: st.Codes.LUTDist(st.Metric, lut, qn, g-st.Lo)})
+		top.Push(theap.Neighbor{ID: int32(g), Dist: st.Codes.Dist(st.Metric, q, qn, g-st.Lo)})
 	}
 	return s.rerank(st, q, k, top.Items(), i)
 }
 
 // compressedGraphKernel answers a CompressedGraph subtask: the Algorithm 2
-// walk scores candidates against the block's SQ8 codes through the slot's
-// LUT, over-fetches RerankK, and the exact re-rank keeps the true top k.
+// walk scores candidates against the block's SQ8 codes, over-fetches
+// RerankK, and the exact re-rank keeps the true top k.
 //
 //tknn:hotpath
 func (s *Scratch) compressedGraphKernel(st *Subtask, q []float32, k int, top *theap.TopK, i, slot int) []theap.Neighbor {
@@ -242,11 +226,9 @@ func (s *Scratch) compressedGraphKernel(st *Subtask, q []float32, k int, top *th
 	if st.RerankK > 0 {
 		rk = st.RerankK
 	}
-	lut := s.ensureLUT(slot, st.Codes.LUTLen())
-	st.Codes.FillLUT(st.Metric, q, lut)
 	qn := vec.Norm(q)
 	sr := s.searchers[slot]
-	sr.SearchCodesInto(top, st.Graph, st.Codes, lut, st.Metric, qn, st.Times, st.Ts, st.Te, st.Params, st.Entries, rk)
+	sr.SearchCodesInto(top, st.Graph, st.Codes, q, st.Metric, qn, st.Times, st.Ts, st.Te, st.Params, st.Entries, rk)
 	cands := top.Items()
 	base := int32(st.Lo)
 	for j := range cands {

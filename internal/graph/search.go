@@ -36,16 +36,15 @@ type Searcher struct {
 
 // distEval scores walk candidates for one query. The flat form reads the
 // store through a view with the query's squared norm hoisted; the
-// compressed form (codes != nil) reads SQ8 codes through the caller's
-// asymmetric lookup table. It lives inside the Searcher — not on the stack
-// — so handing it to the walk never escapes a per-query allocation, and it
-// is a struct with a branch rather than a function value for the same
-// reason (a per-query closure is one heap allocation per block per query).
+// compressed form (codes != nil) scores SQ8 code rows directly. It lives
+// inside the Searcher — not on the stack — so handing it to the walk never
+// escapes a per-query allocation, and it is a struct with a branch rather
+// than a function value for the same reason (a per-query closure is one
+// heap allocation per block per query).
 type distEval struct {
 	view   vec.View
 	qsq    float32 // SquaredNorm(query), flat angular path
 	codes  *sq.Codes
-	lut    []float32
 	qn     float32 // Norm(query), compressed angular path
 	metric vec.Metric
 }
@@ -55,7 +54,7 @@ type distEval struct {
 //tknn:hotpath
 func (e *distEval) dist(q []float32, i int32) float32 {
 	if e.codes != nil {
-		return e.codes.LUTDist(e.metric, e.lut, e.qn, int(i))
+		return e.codes.Dist(e.metric, q, e.qn, int(i))
 	}
 	return e.view.DistToCached(q, e.qsq, int(i))
 }
@@ -156,21 +155,21 @@ func (s *Searcher) SearchInto(result *theap.TopK, g *CSR, view vec.View, q []flo
 }
 
 // SearchCodesInto is SearchInto over a compressed block: candidates are
-// scored against SQ8 codes through lut (built by codes.FillLUT for this
-// query and metric) instead of the float32 store, so the walk reads one
-// byte per coordinate. qNorm is the query's L2 norm (vec.Norm), consumed
-// by the angular finish. Distances in result are asymmetric-approximate;
-// callers over-fetch and re-rank exactly (see exec's compressed kernels).
+// scored against SQ8 codes (codes.Dist) instead of the float32 store, so
+// the walk reads one byte per coordinate. qNorm is the query's L2 norm
+// (vec.Norm), consumed by the angular finish. Distances in result are
+// asymmetric-approximate; callers over-fetch and re-rank exactly (see
+// exec's compressed kernels).
 //
 //tknn:hotpath
-func (s *Searcher) SearchCodesInto(result *theap.TopK, g *CSR, codes *sq.Codes, lut []float32, metric vec.Metric, qNorm float32, times []int64, ts, te int64, p SearchParams, entries []int32, k int) {
+func (s *Searcher) SearchCodesInto(result *theap.TopK, g *CSR, codes *sq.Codes, q []float32, metric vec.Metric, qNorm float32, times []int64, ts, te int64, p SearchParams, entries []int32, k int) {
 	if g.NumNodes() == 0 || len(entries) == 0 || k <= 0 {
 		return
 	}
 	result.ResetK(k)
 	f := timeFilter{times: times, ts: ts, te: te}
-	s.eval = distEval{codes: codes, lut: lut, qn: qNorm, metric: metric}
-	s.run(result, g, nil, &f, p, metric, entries)
+	s.eval = distEval{codes: codes, qn: qNorm, metric: metric}
+	s.run(result, g, q, &f, p, metric, entries)
 }
 
 // searchInto runs the query's walks against a prepared filter: the shared

@@ -2,6 +2,9 @@
 // running. A package whose code starts goroutines calls it from TestMain:
 //
 //	func TestMain(m *testing.M) { leakcheck.Main(m) }
+//
+// OpenFDs is the file-descriptor half: a test counts before it opens
+// something and after its Close, and compares.
 package leakcheck
 
 import (
@@ -33,6 +36,19 @@ func Main(m *testing.M) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// OpenFDs returns how many file descriptors the process holds, read from
+// /proc/self/fd (so only on Linux). The listing's own descriptor and the
+// runtime's poller, which the first open creates, count the same in every
+// call, so two counts compare exactly.
+func OpenFDs(t testing.TB) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatalf("leakcheck: %v", err)
+	}
+	return len(fds)
 }
 
 // leaked returns the stacks of every goroutine but the caller's and the

@@ -99,7 +99,7 @@ func newSystems(cfg Config) ([]*system, func(), error) {
 	// MBI with SQ8-compressed blocks: graph walks read quantized codes and
 	// re-rank exactly. Quantization loses information, so this system gets
 	// an explicit floor below the graph floor — it guards against the
-	// compressed path collapsing (wrong LUT, broken re-rank), not against
+	// compressed path collapsing (wrong code kernel, broken re-rank), not against
 	// the inherent quantization cost the paper's §4.1 modularity argument
 	// accepts.
 	mbiSQ8, err := tknn.NewMBI(tknn.MBIOptions{

@@ -24,6 +24,8 @@ var wireSeeds = []string{
 	`{"batch":[{"vector":[1,2,3,4],"time":1},{"vector":[1,2],"time":2}]}`,
 	`{"batch":[{"vector":[1,2,3,4],"time":7},{"vector":[0,1,0,0],"time":9}]}`,
 	`{"vector":[1,0,0,0],"k":3,"start":0,"end":100}`,
+	`{"vector":[3e19,0,0,0],"k":3,"start":0,"end":100}`, // finite, but every distance overflows float32
+	`{"vector":[3e19,0,0,0],"time":1}`,
 }
 
 func serve(s *Server, method, path string, body []byte) *httptest.ResponseRecorder {
@@ -47,7 +49,7 @@ func checkStatus(t *testing.T, rec *httptest.ResponseRecorder, body []byte) {
 
 // FuzzSearchBody drives arbitrary bytes through POST /search on a server
 // holding 40 vectors (five leaves, so the plan has sealed blocks and
-// graph walks).
+// graph walks), and requires every 200 to carry a search response.
 func FuzzSearchBody(f *testing.F) {
 	for _, s := range wireSeeds {
 		f.Add([]byte(s))
@@ -59,7 +61,15 @@ func FuzzSearchBody(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		checkStatus(t, serve(s, http.MethodPost, "/search", body), body)
+		rec := serve(s, http.MethodPost, "/search", body)
+		checkStatus(t, rec, body)
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var sr SearchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
+			t.Fatalf("200 body %q for request %q: %v", rec.Body, body, err)
+		}
 	})
 }
 

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -328,9 +329,25 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	for i, n := range res {
-		out.Results[i] = SearchResult{ID: n.ID, Time: n.Time, Dist: n.Dist}
+		out.Results[i] = SearchResult{ID: n.ID, Time: n.Time, Dist: wireDist(n.Dist)}
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// wireDist is the form of a distance JSON can carry. A finite query or
+// stored vector can still overflow float32 in the kernel (a coordinate of
+// 3e19 squares past MaxFloat32), and encoding/json refuses ±Inf and NaN
+// after the status line is out, which would leave a 200 with no body. ±Inf
+// becomes ±MaxFloat32, which keeps the order; NaN, which has none, becomes
+// MaxFloat32.
+func wireDist(d float32) float32 {
+	switch {
+	case d < -math.MaxFloat32:
+		return -math.MaxFloat32
+	case !(d <= math.MaxFloat32):
+		return math.MaxFloat32
+	}
+	return d
 }
 
 // StatsResponse is the /stats response body.

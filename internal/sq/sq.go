@@ -5,14 +5,14 @@
 // cutting the block's vector payload ~4x and raising effective scan
 // bandwidth by the same factor.
 //
-// Search over codes is asymmetric: the query stays float32 and each code is
-// scored through a per-(query, block) lookup table of 256 entries per
-// dimension, so the inner loop is one table load and one add per
-// coordinate — no decode, no multiply. Euclidean distances come out exact
-// with respect to the *decoded* vectors; angular distances additionally use
-// per-vector code norms precomputed at encode time. Compressed results are
-// approximate, so callers over-fetch and re-rank the survivors against the
-// float32 store (see exec's compressed kernels).
+// Search over codes is asymmetric: the query stays float32 and Dist scores
+// a code row directly, decoding min + step·code eight coordinates at a time
+// inside vec's SIMD kernels, so a query needs no per-block setup and reads
+// only the row, the query and the block's affine map. Distances come out
+// exact with respect to the *decoded* vectors; angular distances
+// additionally use per-vector code norms precomputed at encode time.
+// Compressed results are approximate, so callers over-fetch and re-rank the
+// survivors against the float32 store (see exec's compressed kernels).
 package sq
 
 import (
@@ -150,10 +150,11 @@ func Train(store *vec.Store, lo, hi int, cfg TrainConfig) *Codes {
 
 	// Pass 2: encode, saturating at the clip bounds, and accumulate each
 	// decoded row's norm. The decoded coordinate is materialized in
-	// float32 — the exact value Decode and the LUT kernels see — but the
-	// squared sum runs in float64: squaring a large-magnitude float32
-	// coordinate overflows float32 even though the coordinate, and the
-	// final unsquared norm, fit comfortably.
+	// float32 — the exact value Decode and vec's code kernels see, the
+	// product rounded before the add on every GOARCH — but the squared sum
+	// runs in float64: squaring a large-magnitude float32 coordinate
+	// overflows float32 even though the coordinate, and the final unsquared
+	// norm, fit comfortably.
 	for i := 0; i < n; i++ {
 		row := store.At(lo + i)
 		out := c.Data[i*dim : (i+1)*dim]
@@ -161,7 +162,7 @@ func Train(store *vec.Store, lo, hi int, cfg TrainConfig) *Codes {
 		for d, x := range row {
 			code := encode1(x, c.Min[d], c.Step[d])
 			out[d] = code
-			v := c.Min[d] + c.Step[d]*float32(code)
+			v := c.Min[d] + float32(c.Step[d]*float32(code))
 			sq += float64(v) * float64(v)
 		}
 		c.Norms[i] = float32(sqrt64(sq))
@@ -196,7 +197,7 @@ func (c *Codes) Decode(i int, dst []float32) []float32 {
 	row := c.Row(i)
 	dst = dst[:c.Dim]
 	for d, code := range row {
-		dst[d] = c.Min[d] + c.Step[d]*float32(code)
+		dst[d] = c.Min[d] + float32(c.Step[d]*float32(code))
 	}
 	return dst
 }
@@ -208,19 +209,41 @@ func (c *Codes) Bytes() int {
 	return len(c.Data) + 4*(len(c.Min)+len(c.Step)+len(c.Norms))
 }
 
+// Dist is the asymmetric distance every compressed walk and scan runs:
+// metric distance between q and decoded row i, computed straight from the
+// code row by vec.SquaredL2Codes or vec.DotCodes — no per-query table, no
+// decoded copy. qNorm is the query's L2 norm (vec.Norm), used only by the
+// angular finish; zero-norm rows keep vec's "maximally distant"
+// convention.
+//
+//tknn:hotpath
+func (c *Codes) Dist(metric vec.Metric, q []float32, qNorm float32, i int) float32 {
+	row := c.Row(i)
+	if metric == vec.Euclidean {
+		return vec.SquaredL2Codes(q, c.Min, c.Step, row)
+	}
+	nb := c.Norms[i]
+	if qNorm == 0 || nb == 0 {
+		return 1
+	}
+	return 1 - vec.DotCodes(q, c.Min, c.Step, row)/(qNorm*nb)
+}
+
+// The lookup-table kernel below (LUTLen, FillLUT, LUTDist, lutSum) no
+// longer runs on any query path; Dist replaced it. It survives only
+// because the benchmark harness's sq.fill_lut_us / sq.lut_ns_per_dist
+// probe calls it, and goes when that probe is next rewritten.
+
 // LUTLen is the float32 length of the asymmetric lookup table FillLUT
-// fills: lutWidth entries per dimension.
+// fills: lutWidth entries per dimension. Benchmark probe only.
 func (c *Codes) LUTLen() int { return c.Dim * lutWidth }
 
 // FillLUT builds the per-query asymmetric-distance table into lut
 // (len >= LUTLen): entry [d·256+v] scores code v of dimension d against
 // q[d]. For Euclidean it holds the squared residual, so a row's distance is
 // the plain sum of its lookups; for Angular it holds q[d]·decode(d,v), so
-// the sum is the dot product, finished by FinishDist with the precomputed
-// norms. Cost is Dim·256 multiply-adds per (query, block) — noise once a
-// block holds more than a few hundred rows.
-//
-//tknn:hotpath
+// the sum is the dot product, finished by LUTDist with the precomputed
+// norms. Benchmark probe only.
 func (c *Codes) FillLUT(metric vec.Metric, q []float32, lut []float32) {
 	for d := 0; d < c.Dim; d++ {
 		min, step := c.Min[d], c.Step[d]
@@ -240,10 +263,7 @@ func (c *Codes) FillLUT(metric vec.Metric, q []float32, lut []float32) {
 }
 
 // LUTDist scores row i through a table built by FillLUT with the same
-// metric. qNorm is the query's L2 norm (vec.Norm), used only by the angular
-// finish; zero-norm rows keep vec's "maximally distant" convention.
-//
-//tknn:hotpath
+// metric, finishing like Dist. Benchmark probe only.
 func (c *Codes) LUTDist(metric vec.Metric, lut []float32, qNorm float32, i int) float32 {
 	s := lutSum(lut, c.Row(i))
 	if metric == vec.Euclidean {
@@ -256,10 +276,8 @@ func (c *Codes) LUTDist(metric vec.Metric, lut []float32, qNorm float32, i int) 
 	return 1 - s/(qNorm*nb)
 }
 
-// lutSum is the asymmetric inner loop: one table load and one add per
-// coordinate, 4-wide unrolled.
-//
-//tknn:hotpath
+// lutSum is the table kernel's inner loop: one table load and one add per
+// coordinate, 4-wide unrolled. Benchmark probe only.
 func lutSum(lut []float32, row []uint8) float32 {
 	var s0, s1, s2, s3 float32
 	d := 0
@@ -273,37 +291,6 @@ func lutSum(lut []float32, row []uint8) float32 {
 		s0 += lut[d*lutWidth+int(row[d])]
 	}
 	return s0 + s1 + s2 + s3
-}
-
-// DistTo is the reference asymmetric distance: metric distance between q
-// and decoded row i, computed directly (no table). LUTDist must agree with
-// it up to float reassociation; tests and the invariant gate compare them.
-func (c *Codes) DistTo(metric vec.Metric, q []float32, qNorm float32, i int) float32 {
-	row := c.Row(i)
-	if metric == vec.Euclidean {
-		var s float32
-		for d, code := range row {
-			r := q[d] - (c.Min[d] + c.Step[d]*float32(code))
-			s += r * r
-		}
-		return s
-	}
-	var dot float32
-	for d, code := range row {
-		dot += q[d] * (c.Min[d] + c.Step[d]*float32(code))
-	}
-	nb := c.Norms[i]
-	if qNorm == 0 || nb == 0 {
-		return 1
-	}
-	return 1 - dot/(qNorm*nb)
-}
-
-func sqrt32(x float32) float32 {
-	if x <= 0 {
-		return 0
-	}
-	return float32(math.Sqrt(float64(x)))
 }
 
 func sqrt64(x float64) float64 {

@@ -138,44 +138,44 @@ func TestDegenerateBlocks(t *testing.T) {
 	})
 }
 
-// TestLUTMatchesDecodedDistance checks the asymmetric kernel's contract:
-// for both metrics, FillLUT + LUTDist computes exactly the metric distance
-// between the query and the DECODED row (up to float error) — the same
-// value DistTo computes directly. Equality with the decoded-row distance
-// is what makes over-fetch + exact re-rank sound: the approximation error
-// is entirely the quantizer's, never the kernel's.
-func TestLUTMatchesDecodedDistance(t *testing.T) {
+// TestDistMatchesDecodedDistance checks the asymmetric kernel's contract:
+// for both metrics, Dist computes the metric distance between the query
+// and the DECODED row — bit for bit for Euclidean (the code kernel sums in
+// SquaredL2's order over the values Decode writes), and within float
+// slack for Angular, whose finish divides by the cached code norm instead
+// of recomputing it. Equality with the decoded-row distance is what makes
+// over-fetch + exact re-rank sound: the approximation error is entirely
+// the quantizer's, never the kernel's. Dimension 41 runs all three of the
+// kernels' loops.
+func TestDistMatchesDecodedDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	store := fillStore(t, 9, 120, rng)
+	store := fillStore(t, 41, 120, rng)
 	c := Train(store, 0, store.Len(), TrainConfig{})
-	q := make([]float32, 9)
+	q := make([]float32, c.Dim)
 	for j := range q {
 		q[j] = float32(rng.NormFloat64())
 	}
-	lut := make([]float32, c.LUTLen())
 	dec := make([]float32, c.Dim)
+	qn := vec.Norm(q)
 	for _, metric := range []vec.Metric{vec.Euclidean, vec.Angular} {
-		c.FillLUT(metric, q, lut)
-		qn := vec.Norm(q)
 		for i := 0; i < c.N; i++ {
-			got := c.LUTDist(metric, lut, qn, i)
-			ref := c.DistTo(metric, q, qn, i)
-			if diff := math.Abs(float64(got - ref)); diff > 1e-4 {
-				t.Fatalf("%v row %d: LUT dist %v, direct decoded dist %v (diff %v)", metric, i, got, ref, diff)
-			}
+			got := c.Dist(metric, q, qn, i)
 			c.Decode(i, dec)
 			want := vec.Distance(metric, q, dec)
+			if metric == vec.Euclidean && math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("row %d: Dist %v, SquaredL2 on the decoded row %v", i, got, want)
+			}
 			if diff := math.Abs(float64(got - want)); diff > 1e-4 {
-				t.Fatalf("%v row %d: LUT dist %v, vec.Distance on decoded %v (diff %v)", metric, i, got, want, diff)
+				t.Fatalf("%v row %d: Dist %v, vec.Distance on decoded %v (diff %v)", metric, i, got, want, diff)
 			}
 		}
 	}
 }
 
-// TestAsymmetricMonotonicity checks that LUT distances preserve the
+// TestAsymmetricMonotonicity checks that code distances preserve the
 // ordering of true distances up to quantization resolution: whenever two
 // rows' true distances differ by clearly more than the worst-case
-// quantization slack, the LUT ranks them the same way.
+// quantization slack, Dist ranks them the same way.
 func TestAsymmetricMonotonicity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	store := fillStore(t, 6, 150, rng)
@@ -184,11 +184,9 @@ func TestAsymmetricMonotonicity(t *testing.T) {
 	for j := range q {
 		q[j] = float32(rng.NormFloat64())
 	}
-	lut := make([]float32, c.LUTLen())
-	c.FillLUT(vec.Euclidean, q, lut)
 	qn := vec.Norm(q)
 
-	// Worst-case |sqrt(lutDist) - trueDist| per row is half the step
+	// Worst-case |sqrt(codeDist) - trueDist| per row is half the step
 	// vector's norm; a gap of twice that in unsquared distance can never
 	// be inverted by quantization alone.
 	var stepSq float64
@@ -197,26 +195,26 @@ func TestAsymmetricMonotonicity(t *testing.T) {
 	}
 	slack := 2*math.Sqrt(stepSq) + 1e-4
 
-	type scored struct{ lutD, trueD float64 }
+	type scored struct{ codeD, trueD float64 }
 	rows := make([]scored, c.N)
 	for i := range rows {
 		rows[i] = scored{
-			lutD:  math.Sqrt(float64(c.LUTDist(vec.Euclidean, lut, qn, i))),
+			codeD: math.Sqrt(float64(c.Dist(vec.Euclidean, q, qn, i))),
 			trueD: math.Sqrt(float64(vec.Distance(vec.Euclidean, q, store.At(i)))),
 		}
 	}
 	for i := range rows {
 		for j := range rows {
-			if rows[i].trueD+slack < rows[j].trueD && rows[i].lutD > rows[j].lutD {
-				t.Fatalf("rows %d,%d: true dists %v < %v - slack, but LUT ranks them %v > %v",
-					i, j, rows[i].trueD, rows[j].trueD, rows[i].lutD, rows[j].lutD)
+			if rows[i].trueD+slack < rows[j].trueD && rows[i].codeD > rows[j].codeD {
+				t.Fatalf("rows %d,%d: true dists %v < %v - slack, but Dist ranks them %v > %v",
+					i, j, rows[i].trueD, rows[j].trueD, rows[i].codeD, rows[j].codeD)
 			}
 		}
 	}
 }
 
 // TestNormsCache checks the trained per-row norms equal the decoded rows'
-// norms — the angular LUT finish divides by them, so a stale cache skews
+// norms — the angular finish of Dist divides by them, so a stale cache skews
 // every cosine distance.
 func TestNormsCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))

@@ -167,6 +167,222 @@ dotdone:
 	VMOVSS X0, ret+48(FP)
 	RET
 
+// The code kernels score a float query against an SQ8 row without a
+// table: each 8-byte group is widened (VPMOVZXBD, exactly 8 bytes read),
+// converted exactly (VCVTDQ2PS), decoded as code·step + min and then
+// scored like the float kernels, in the same order with the same
+// registers. The scalar tail loads one byte at a time.
+//
+//	SI = q, DI = mins, DX = steps, BX = codes, CX = len(codes)
+
+// func squaredL2CodesAVX2(q, mins, steps []float32, codes []uint8) float32
+TEXT ·squaredL2CodesAVX2(SB), NOSPLIT, $0-100
+	MOVQ   q_base+0(FP), SI
+	MOVQ   mins_base+24(FP), DI
+	MOVQ   steps_base+48(FP), DX
+	MOVQ   codes_base+72(FP), BX
+	MOVQ   codes_len+80(FP), CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	CMPQ   CX, $32
+	JB     cl2tail8
+
+cl2loop32:
+	VPMOVZXBD (BX), Y4
+	VPMOVZXBD 8(BX), Y5
+	VPMOVZXBD 16(BX), Y6
+	VPMOVZXBD 24(BX), Y7
+	VCVTDQ2PS Y4, Y4
+	VCVTDQ2PS Y5, Y5
+	VCVTDQ2PS Y6, Y6
+	VCVTDQ2PS Y7, Y7
+	VMULPS    (DX), Y4, Y4
+	VMULPS    32(DX), Y5, Y5
+	VMULPS    64(DX), Y6, Y6
+	VMULPS    96(DX), Y7, Y7
+	VADDPS    (DI), Y4, Y4
+	VADDPS    32(DI), Y5, Y5
+	VADDPS    64(DI), Y6, Y6
+	VADDPS    96(DI), Y7, Y7
+	VMOVUPS   (SI), Y8
+	VMOVUPS   32(SI), Y9
+	VMOVUPS   64(SI), Y10
+	VMOVUPS   96(SI), Y11
+	VSUBPS    Y4, Y8, Y8
+	VSUBPS    Y5, Y9, Y9
+	VSUBPS    Y6, Y10, Y10
+	VSUBPS    Y7, Y11, Y11
+	VMULPS    Y8, Y8, Y8
+	VMULPS    Y9, Y9, Y9
+	VMULPS    Y10, Y10, Y10
+	VMULPS    Y11, Y11, Y11
+	VADDPS    Y8, Y0, Y0
+	VADDPS    Y9, Y1, Y1
+	VADDPS    Y10, Y2, Y2
+	VADDPS    Y11, Y3, Y3
+	ADDQ      $128, SI
+	ADDQ      $128, DI
+	ADDQ      $128, DX
+	ADDQ      $32, BX
+	SUBQ      $32, CX
+	CMPQ      CX, $32
+	JAE       cl2loop32
+
+cl2tail8:
+	CMPQ CX, $8
+	JB   cl2reduce
+
+cl2loop8:
+	VPMOVZXBD (BX), Y4
+	VCVTDQ2PS Y4, Y4
+	VMULPS    (DX), Y4, Y4
+	VADDPS    (DI), Y4, Y4
+	VMOVUPS   (SI), Y8
+	VSUBPS    Y4, Y8, Y8
+	VMULPS    Y8, Y8, Y8
+	VADDPS    Y8, Y0, Y0
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	ADDQ      $32, DX
+	ADDQ      $8, BX
+	SUBQ      $8, CX
+	CMPQ      CX, $8
+	JAE       cl2loop8
+
+cl2reduce:
+	VADDPS       Y1, Y0, Y0
+	VADDPS       Y3, Y2, Y2
+	VADDPS       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS       X1, X0, X0
+	VMOVHLPS     X0, X0, X1
+	VADDPS       X1, X0, X0
+	VMOVSHDUP    X0, X1
+	VADDSS       X1, X0, X0
+	TESTQ        CX, CX
+	JZ           cl2done
+
+cl2loop1:
+	MOVBLZX    (BX), AX
+	VCVTSI2SSL AX, X1, X1
+	VMULSS     (DX), X1, X1
+	VADDSS     (DI), X1, X1
+	VMOVSS     (SI), X2
+	VSUBSS     X1, X2, X2
+	VMULSS     X2, X2, X2
+	VADDSS     X2, X0, X0
+	ADDQ       $4, SI
+	ADDQ       $4, DI
+	ADDQ       $4, DX
+	INCQ       BX
+	DECQ       CX
+	JNZ        cl2loop1
+
+cl2done:
+	VZEROUPPER
+	VMOVSS X0, ret+96(FP)
+	RET
+
+// func dotCodesAVX2(q, mins, steps []float32, codes []uint8) float32
+TEXT ·dotCodesAVX2(SB), NOSPLIT, $0-100
+	MOVQ   q_base+0(FP), SI
+	MOVQ   mins_base+24(FP), DI
+	MOVQ   steps_base+48(FP), DX
+	MOVQ   codes_base+72(FP), BX
+	MOVQ   codes_len+80(FP), CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	CMPQ   CX, $32
+	JB     cdottail8
+
+cdotloop32:
+	VPMOVZXBD (BX), Y4
+	VPMOVZXBD 8(BX), Y5
+	VPMOVZXBD 16(BX), Y6
+	VPMOVZXBD 24(BX), Y7
+	VCVTDQ2PS Y4, Y4
+	VCVTDQ2PS Y5, Y5
+	VCVTDQ2PS Y6, Y6
+	VCVTDQ2PS Y7, Y7
+	VMULPS    (DX), Y4, Y4
+	VMULPS    32(DX), Y5, Y5
+	VMULPS    64(DX), Y6, Y6
+	VMULPS    96(DX), Y7, Y7
+	VADDPS    (DI), Y4, Y4
+	VADDPS    32(DI), Y5, Y5
+	VADDPS    64(DI), Y6, Y6
+	VADDPS    96(DI), Y7, Y7
+	VMULPS    (SI), Y4, Y4
+	VMULPS    32(SI), Y5, Y5
+	VMULPS    64(SI), Y6, Y6
+	VMULPS    96(SI), Y7, Y7
+	VADDPS    Y4, Y0, Y0
+	VADDPS    Y5, Y1, Y1
+	VADDPS    Y6, Y2, Y2
+	VADDPS    Y7, Y3, Y3
+	ADDQ      $128, SI
+	ADDQ      $128, DI
+	ADDQ      $128, DX
+	ADDQ      $32, BX
+	SUBQ      $32, CX
+	CMPQ      CX, $32
+	JAE       cdotloop32
+
+cdottail8:
+	CMPQ CX, $8
+	JB   cdotreduce
+
+cdotloop8:
+	VPMOVZXBD (BX), Y4
+	VCVTDQ2PS Y4, Y4
+	VMULPS    (DX), Y4, Y4
+	VADDPS    (DI), Y4, Y4
+	VMULPS    (SI), Y4, Y4
+	VADDPS    Y4, Y0, Y0
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	ADDQ      $32, DX
+	ADDQ      $8, BX
+	SUBQ      $8, CX
+	CMPQ      CX, $8
+	JAE       cdotloop8
+
+cdotreduce:
+	VADDPS       Y1, Y0, Y0
+	VADDPS       Y3, Y2, Y2
+	VADDPS       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS       X1, X0, X0
+	VMOVHLPS     X0, X0, X1
+	VADDPS       X1, X0, X0
+	VMOVSHDUP    X0, X1
+	VADDSS       X1, X0, X0
+	TESTQ        CX, CX
+	JZ           cdotdone
+
+cdotloop1:
+	MOVBLZX    (BX), AX
+	VCVTSI2SSL AX, X1, X1
+	VMULSS     (DX), X1, X1
+	VADDSS     (DI), X1, X1
+	VMULSS     (SI), X1, X1
+	VADDSS     X1, X0, X0
+	ADDQ       $4, SI
+	ADDQ       $4, DI
+	ADDQ       $4, DX
+	INCQ       BX
+	DECQ       CX
+	JNZ        cdotloop1
+
+cdotdone:
+	VZEROUPPER
+	VMOVSS X0, ret+96(FP)
+	RET
+
 // func cpuHasAVX2() bool
 //
 // AVX2 is usable when the CPU reports it (leaf 7 EBX bit 5) and the OS

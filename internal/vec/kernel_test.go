@@ -56,36 +56,121 @@ func TestGoKernelSummationOrder(t *testing.T) {
 		{"squaredL2Go", squaredL2Go, func(x, y float32) float32 { d := x - y; return float32(d * d) }},
 		{"dotGo", dotGo, func(x, y float32) float32 { return float32(x * y) }},
 	} {
-		for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 47, 71, 100, 128, 300} {
+		for _, n := range orderLengths {
 			a, b := randVec(rng, n), randVec(rng, n)
 			for i := range a {
 				a[i] *= float32(math.Exp(4 * rng.NormFloat64()))
 			}
-			var acc [4][8]float32
-			i := 0
-			for ; i+32 <= n; i += 32 {
-				for g := 0; g < 4; g++ {
-					for j := 0; j < 8; j++ {
-						acc[g][j] += k.term(a[i+8*g+j], b[i+8*g+j])
-					}
-				}
-			}
-			for ; i+8 <= n; i += 8 {
-				for j := 0; j < 8; j++ {
-					acc[0][j] += k.term(a[i+j], b[i+j])
-				}
-			}
-			var x [4]float32
-			for j := range x {
-				lo := (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j])
-				hi := (acc[0][j+4] + acc[1][j+4]) + (acc[2][j+4] + acc[3][j+4])
-				x[j] = lo + hi
-			}
-			want := (x[0] + x[2]) + (x[1] + x[3])
-			for ; i < n; i++ {
-				want += k.term(a[i], b[i])
-			}
+			want := canonicalSum(n, func(i int) float32 { return k.term(a[i], b[i]) })
 			if got := k.kernel(a, b); math.Float32bits(got) != math.Float32bits(want) {
+				t.Errorf("%s len %d: got %g, canonical order gives %g", k.name, n, got, want)
+			}
+		}
+	}
+}
+
+// orderLengths mix the three loops: scalar only, one 8-block, 32-blocks
+// with and without leftover 8-blocks and tails.
+var orderLengths = []int{0, 1, 7, 8, 9, 31, 32, 33, 47, 71, 100, 128, 300}
+
+// canonicalSum adds term(0), ..., term(n-1) in the canonical order,
+// written out longhand with one array cell per accumulator lane.
+func canonicalSum(n int, term func(i int) float32) float32 {
+	var acc [4][8]float32
+	i := 0
+	for ; i+32 <= n; i += 32 {
+		for g := 0; g < 4; g++ {
+			for j := 0; j < 8; j++ {
+				acc[g][j] += term(i + 8*g + j)
+			}
+		}
+	}
+	for ; i+8 <= n; i += 8 {
+		for j := 0; j < 8; j++ {
+			acc[0][j] += term(i + j)
+		}
+	}
+	var x [4]float32
+	for j := range x {
+		lo := (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j])
+		hi := (acc[0][j+4] + acc[1][j+4]) + (acc[2][j+4] + acc[3][j+4])
+		x[j] = lo + hi
+	}
+	s := (x[0] + x[2]) + (x[1] + x[3])
+	for ; i < n; i++ {
+		s += term(i)
+	}
+	return s
+}
+
+// codeKernelPair names one assembly code kernel and its Go twin.
+type codeKernelPair struct {
+	name     string
+	asm, ref func(q, mins, steps []float32, codes []uint8) float32
+}
+
+var codeKernelPairs = []codeKernelPair{
+	{"SquaredL2Codes", squaredL2CodesAVX2, squaredL2CodesGo},
+	{"DotCodes", dotCodesAVX2, dotCodesGo},
+}
+
+// codeRow returns an SQ8-shaped operand set of length n: a query, an
+// affine map whose steps span a few units, and uniform codes.
+func codeRow(rng *rand.Rand, n int) (q, mins, steps []float32, codes []uint8) {
+	q, mins, steps = randVec(rng, n), randVec(rng, n), make([]float32, n)
+	codes = make([]uint8, n)
+	for i := range steps {
+		steps[i] = float32(rng.ExpFloat64()) / 64
+		codes[i] = uint8(rng.Intn(256))
+	}
+	return q, mins, steps, codes
+}
+
+// TestCodeKernelsBitIdentical is TestKernelsBitIdentical for the code
+// kernels: every length 0–300 at four offsets, the code row's offset
+// moving against the floats' so the byte loads see every alignment too.
+func TestCodeKernelsBitIdentical(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no AVX2 kernel in this build or on this CPU; SquaredL2Codes and DotCodes already run the Go kernel")
+	}
+	rng := rand.New(rand.NewSource(9))
+	bq, bm, bs, bc := codeRow(rng, 304)
+	for _, k := range codeKernelPairs {
+		for n := 0; n <= 300; n++ {
+			for off := 0; off < 4; off++ {
+				q, mins, steps, codes := bq[off:off+n], bm[3-off:3-off+n], bs[off:off+n], bc[3-off:3-off+n]
+				got, want := k.asm(q, mins, steps, codes), k.ref(q, mins, steps, codes)
+				if math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("%s len %d offset %d: asm %g (%#x) != go %g (%#x)",
+						k.name, n, off, got, math.Float32bits(got), want, math.Float32bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestGoCodeKernelSummationOrder pins the Go code kernels to the canonical
+// order and to the decode min + float32(step·code), both written out
+// longhand.
+func TestGoCodeKernelSummationOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, k := range []struct {
+		name   string
+		kernel func(q, mins, steps []float32, codes []uint8) float32
+		term   func(x, v float32) float32
+	}{
+		{"squaredL2CodesGo", squaredL2CodesGo, func(x, v float32) float32 { d := x - v; return float32(d * d) }},
+		{"dotCodesGo", dotCodesGo, func(x, v float32) float32 { return float32(x * v) }},
+	} {
+		for _, n := range orderLengths {
+			q, mins, steps, codes := codeRow(rng, n)
+			for i := range q {
+				q[i] *= float32(math.Exp(4 * rng.NormFloat64()))
+			}
+			want := canonicalSum(n, func(i int) float32 {
+				return k.term(q[i], mins[i]+float32(steps[i]*float32(codes[i])))
+			})
+			if got := k.kernel(q, mins, steps, codes); math.Float32bits(got) != math.Float32bits(want) {
 				t.Errorf("%s len %d: got %g, canonical order gives %g", k.name, n, got, want)
 			}
 		}
@@ -112,6 +197,22 @@ func TestKernelsPanicOnShortB(t *testing.T) {
 				}()
 				tc.f(a[:n], b[:n-1:n-1])
 			}()
+		}
+	}
+	codes := make([]uint8, 40)
+	for _, f := range []func(q, mins, steps []float32, codes []uint8) float32{SquaredL2Codes, DotCodes} {
+		for _, n := range []int{1, 8, 33, 40} {
+			full, short := a[:n], b[:n-1:n-1]
+			for arg, ops := range [][3][]float32{{short, full, full}, {full, short, full}, {full, full, short}} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("code kernel with operand %d of len %d against %d codes did not panic", arg, n-1, n)
+						}
+					}()
+					f(ops[0], ops[1], ops[2], codes[:n])
+				}()
+			}
 		}
 	}
 }
@@ -164,6 +265,30 @@ func FuzzKernelsAgree(f *testing.F) {
 	})
 }
 
+// FuzzCodeKernelsAgree is FuzzKernelsAgree for the code kernels: raw bytes
+// become the query, the affine map and the codes, so decodes meet ±Inf
+// steps, Inf − Inf sums, denormals and signed zeros. testdata/fuzz holds
+// 79-element corpora that run all three loops.
+func FuzzCodeKernelsAgree(f *testing.F) {
+	f.Add([]byte{}, []byte{}, []byte{}, []byte{})
+	f.Add(bits(0x3f800000, 0x80000000), bits(0xff800000, 0x00000001), bits(0x7f800000, 0x00000000), []byte{1, 255})
+	f.Fuzz(func(t *testing.T, pq, pm, ps, codes []byte) {
+		if !hasAVX2 {
+			t.Skip("no AVX2 kernel in this build or on this CPU")
+		}
+		q, mins, steps := floatsFromBytes(pq), floatsFromBytes(pm), floatsFromBytes(ps)
+		n := min(len(q), len(mins), len(steps), len(codes))
+		q, mins, steps, codes = q[:n], mins[:n], steps[:n], codes[:n]
+		for _, k := range codeKernelPairs {
+			got, want := k.asm(q, mins, steps, codes), k.ref(q, mins, steps, codes)
+			if math.Float32bits(got) != math.Float32bits(want) && !(got != got && want != want) {
+				t.Fatalf("%s len %d: asm %g (%#x) != go %g (%#x)",
+					k.name, n, got, math.Float32bits(got), want, math.Float32bits(want))
+			}
+		}
+	})
+}
+
 var benchSink float32
 
 // benchKernel reports ns per distance for the assembly and the Go kernel
@@ -189,3 +314,25 @@ func benchKernel(b *testing.B, k kernelPair) {
 
 func BenchmarkSquaredL2(b *testing.B) { benchKernel(b, kernelPairs[0]) }
 func BenchmarkDot(b *testing.B)       { benchKernel(b, kernelPairs[1]) }
+
+// benchCodeKernel is benchKernel for one SQ8 row against a float query.
+func benchCodeKernel(b *testing.B, k codeKernelPair) {
+	rng := rand.New(rand.NewSource(11))
+	for _, dim := range []int{32, 100, 128, 960} {
+		q, mins, steps, codes := codeRow(rng, dim)
+		run := func(name string, f func(q, mins, steps []float32, codes []uint8) float32) {
+			b.Run(name+"/dim="+strconv.Itoa(dim), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					benchSink += f(q, mins, steps, codes)
+				}
+			})
+		}
+		if hasAVX2 {
+			run("asm", k.asm)
+		}
+		run("go", k.ref)
+	}
+}
+
+func BenchmarkSquaredL2Codes(b *testing.B) { benchCodeKernel(b, codeKernelPairs[0]) }
+func BenchmarkDotCodes(b *testing.B)       { benchCodeKernel(b, codeKernelPairs[1]) }

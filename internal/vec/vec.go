@@ -77,6 +77,31 @@ func SquaredL2(a, b []float32) float32 {
 	return squaredL2Go(a, b)
 }
 
+// SquaredL2Codes returns the squared Euclidean distance between q and the
+// row that codes decodes to under the affine map mins[d] + steps[d]·code —
+// an SQ8 row scored without a lookup table or a decoded copy. len(codes)
+// sets the length; q, mins or steps shorter than it panic here, in Go.
+// Like SquaredL2, the assembly and the Go kernel return the same bits.
+func SquaredL2Codes(q, mins, steps []float32, codes []uint8) float32 {
+	n := len(codes)
+	q, mins, steps = q[:n], mins[:n], steps[:n]
+	if hasAVX2 {
+		return squaredL2CodesAVX2(q, mins, steps, codes)
+	}
+	return squaredL2CodesGo(q, mins, steps, codes)
+}
+
+// DotCodes returns the inner product of q and the decoded row, under
+// SquaredL2Codes's decode and length contract.
+func DotCodes(q, mins, steps []float32, codes []uint8) float32 {
+	n := len(codes)
+	q, mins, steps = q[:n], mins[:n], steps[:n]
+	if hasAVX2 {
+		return dotCodesAVX2(q, mins, steps, codes)
+	}
+	return dotCodesGo(q, mins, steps, codes)
+}
+
 // SquaredNorm returns the squared L2 norm of a.
 func SquaredNorm(a []float32) float32 { return Dot(a, a) }
 
