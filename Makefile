@@ -9,7 +9,7 @@ GO ?= go
 # so it runs here and nowhere else.
 RACE_PKGS = ./internal/core/ ./internal/exec/ ./internal/server/ ./internal/client/ ./internal/nndescent/ ./internal/wal/ ./internal/graph/ ./internal/theap/ ./internal/sq/ ./internal/fault/ ./internal/blockcache/
 
-.PHONY: check fmt vet build test race purego lint lockgraph lockgraph-check invariants faults recover oneproc bench-sq bench-tier bench-chaos allocs-gate loc
+.PHONY: check fmt vet build test race purego lint lockgraph lockgraph-check invariants faults recover oneproc fuzz-smoke bench-sq bench-tier bench-chaos allocs-gate loc
 
 check: fmt vet build test race purego lint lockgraph-check invariants faults recover oneproc
 
@@ -103,6 +103,17 @@ ONEPROC_PKGS = . ./internal/exec ./internal/core ./internal/bsbf ./internal/sf .
 
 oneproc:
 	GOMAXPROCS=1 $(GO) test -count=1 $(ONEPROC_PKGS)
+
+# The request-body fuzzers, fuzzing for 10 s each (`make test` runs only
+# their seed corpora): the /search and /vectors handlers must answer 200,
+# 400 or 413 and count what they acknowledge, and the wire decoders must
+# match json.Unmarshal. Go fuzzes one target per run.
+FUZZ_SMOKE = FuzzSearchBody FuzzVectorsBody FuzzWireMatchesEncodingJSON
+
+fuzz-smoke:
+	@for f in $(FUZZ_SMOKE); do \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/server/ || exit 1; \
+	done
 
 # SQ8 compression benchmark: bytes/vector and memory reduction,
 # compressed scan throughput, ns/distance for the asymmetric kernel, and

@@ -26,6 +26,8 @@ var wireSeeds = []string{
 	`{"vector":[1,0,0,0],"k":3,"start":0,"end":100}`,
 	`{"vector":[3e19,0,0,0],"k":3,"start":0,"end":100}`, // finite, but every distance overflows float32
 	`{"vector":[3e19,0,0,0],"time":1}`,
+	`{"vector":[1,2,3,4],"time":1}{"vector":[5,6,7,8],"time":2}`, // TestTrailingDataIs400
+	`{"vector":[1,0,0,0],"k":3,"start":0,"end":100} garbage`,
 }
 
 func serve(s *Server, method, path string, body []byte) *httptest.ResponseRecorder {

@@ -18,6 +18,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -137,7 +138,7 @@ func (s *Server) handleVectors(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req AddRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, func(b []byte) error { return decodeAddRequest(b, &req) }) {
 		return
 	}
 	switch {
@@ -281,7 +282,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req SearchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, func(b []byte) error { return decodeSearchRequest(b, &req) }) {
 		return
 	}
 	// The request context flows into the executor: an aborted connection
@@ -426,15 +427,22 @@ func (s *Server) error(w http.ResponseWriter, status int, err error) {
 }
 
 // maxBodyBytes bounds a request body: without it one client could make
-// the JSON decoder buffer an arbitrarily large value. The largest body the
+// the server buffer an arbitrarily large one. The largest body the
 // benchmark sends (a 64-vector, dim-128 batch) is ~100 KB.
 const maxBodyBytes = 32 << 20
 
-// decodeBody decodes r's JSON body, at most maxBodyBytes of it, into v.
-// On failure it answers the request — 413 for an oversized body, 400 for a
-// malformed one — and returns false.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+// decodeBody reads r's body, at most maxBodyBytes of it, and decodes it
+// with decode (decodeAddRequest or decodeSearchRequest). On failure it
+// answers the request — 413 for an oversized body, 400 for a malformed
+// one — and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, decode func([]byte) error) bool {
+	// The buffer grows as bytes arrive: Content-Length is only the client's
+	// claim, and sizing from it would let a lying header cost maxBodyBytes.
+	var body bytes.Buffer
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = decode(body.Bytes())
+	}
 	if err == nil {
 		return true
 	}

@@ -315,6 +315,24 @@ func TestOversizedBodyIs413(t *testing.T) {
 	}
 }
 
+// TestTrailingDataIs400: a body holds exactly one JSON value. A decoder
+// that stops after the first one would apply the first record of
+// `{…}{…}` and drop the second without an error.
+func TestTrailingDataIs400(t *testing.T) {
+	s := newMemServer(t)
+	for _, c := range []struct{ path, body string }{
+		{"/vectors", `{"vector":[1,2,3,4],"time":1}{"vector":[5,6,7,8],"time":2}`},
+		{"/search", `{"vector":[1,0,0,0],"k":3,"start":0,"end":100} garbage`},
+	} {
+		if rec := serve(s, http.MethodPost, c.path, []byte(c.body)); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400 (%s)", c.path, c.body, rec.Code, rec.Body)
+		}
+	}
+	if n := s.ix.Len(); n != 0 {
+		t.Errorf("index holds %d vectors after refused inserts", n)
+	}
+}
+
 // TestHugeKFromTheWire: k arrives unchecked from the JSON body and used to
 // size the result heaps directly, so 2^62 panicked in makeslice — inside
 // an executor worker goroutine when the plan had several subtasks, which
