@@ -89,10 +89,11 @@ faults:
 
 # Crash-recovery gate: the kill-at-random-offset and torn-tail tests with
 # fresh state (-count=1), then the whole WAL package under the race
-# detector.
+# detector, then the daemon's own SIGTERM-and-restart round trip.
 recover:
 	$(GO) test -count=1 -run 'Crash|Recovery|TornTail|Fuzz' ./internal/wal/
 	$(GO) test -race ./internal/wal/...
+	$(GO) test -count=1 -run Restart ./cmd/tknnd/
 
 # The width-1 schedules of exec.Run (the inline loop, runSeqCold) are
 # selected by GOMAXPROCS alone, so on a multi-core host only the tests that

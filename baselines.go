@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/graph"
+	"repro/internal/nndescent"
 	"repro/internal/persist"
 	"repro/internal/sf"
 )
@@ -128,9 +129,7 @@ type SFOptions struct {
 	Dim int
 	// Metric is the distance function. Default Euclidean.
 	Metric Metric
-	// Graph selects the graph construction algorithm. Default NNDescent.
-	Graph GraphAlgorithm
-	// GraphDegree is the proximity graph's neighbor count. Default 24.
+	// GraphDegree is the NNDescent graph's neighbor count K. Default 24.
 	GraphDegree int
 	// MaxCandidates is the search-time candidate cap M_C. Default
 	// 2*GraphDegree.
@@ -197,8 +196,7 @@ func NewSF(opts SFOptions) (*SF, error) {
 	if err := opts.ApplyDefaults(); err != nil {
 		return nil, err
 	}
-	mo := MBIOptions{Dim: opts.Dim, Graph: opts.Graph, GraphDegree: opts.GraphDegree}
-	builder, err := mo.builder()
+	builder, err := nndescent.New(nndescent.DefaultConfig(opts.GraphDegree))
 	if err != nil {
 		return nil, err
 	}
@@ -311,8 +309,7 @@ func LoadSF(r io.Reader, opts SFOptions) (*SF, error) {
 	if err := opts.ApplyDefaults(); err != nil {
 		return nil, err
 	}
-	mo := MBIOptions{Dim: opts.Dim, Graph: opts.Graph, GraphDegree: opts.GraphDegree}
-	builder, err := mo.builder()
+	builder, err := nndescent.New(nndescent.DefaultConfig(opts.GraphDegree))
 	if err != nil {
 		return nil, err
 	}

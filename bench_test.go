@@ -87,13 +87,6 @@ func Benchmark_Fig9_Tau(b *testing.B) {
 	}
 }
 
-func Benchmark_Ablation_GraphBuilder(b *testing.B) {
-	c := bench.QuickConfig()
-	for i := 0; i < b.N; i++ {
-		bench.AblationBuilder(c, io.Discard)
-	}
-}
-
 // --- public-API micro-benchmarks ----------------------------------------
 
 // benchData builds a small clustered workload once per benchmark.
@@ -198,13 +191,6 @@ func BenchmarkSF_Search(b *testing.B) {
 		if _, err := ix.Search(q); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func Benchmark_Extension_Drift(b *testing.B) {
-	c := bench.QuickConfig()
-	for i := 0; i < b.N; i++ {
-		bench.DriftExperiment(c, io.Discard)
 	}
 }
 

@@ -15,8 +15,6 @@
 //	fig7      indexing time and index size scalability (SIFT)
 //	fig8      leaf-size sweep, incremental insertion (MovieLens)
 //	fig9      tau sweep (MovieLens, COMS)
-//	ablation  per-block graph builder ablation (NNDescent vs NSW)
-//	drift     non-stationary data: MBI vs SF under cluster drift
 //	ivf       quantization-family comparator (IVF-Flat vs SF vs MBI)
 //	async     insert-latency profile: synchronous vs background merging
 //	wal       ingestion throughput: no WAL vs fsync=interval vs fsync=always
@@ -128,10 +126,6 @@ func run(args []string) error {
 			return err
 		}
 		bench.Fig9(cfg, fig9Profiles, w)
-	case "ablation":
-		bench.AblationBuilder(cfg, w)
-	case "drift":
-		bench.DriftExperiment(cfg, w)
 	case "ivf":
 		bench.IVFExperiment(cfg, profiles, w)
 	case "async":
@@ -163,8 +157,6 @@ func run(args []string) error {
 			return err
 		}
 		bench.Fig9(cfg, fig9Profiles, w)
-		bench.AblationBuilder(cfg, w)
-		bench.DriftExperiment(cfg, w)
 		bench.IVFExperiment(cfg, profiles, w)
 		bench.AsyncMergeExperiment(cfg, w)
 		bench.WALExperiment(cfg, w)

@@ -54,10 +54,10 @@ func TestRunCheckpoint(t *testing.T) {
 		t.Fatalf("stats after ctl checkpoint: %+v", st)
 	}
 
-	// Against a snapshot-on-exit server the command fails with the
-	// server's explanation rather than succeeding vacuously.
-	legacy := testServer(t)
-	if err := run([]string{"-server", legacy.URL, "checkpoint"}); err == nil {
+	// Against an in-memory server the command fails with the server's
+	// explanation rather than succeeding vacuously.
+	inMemory := testServer(t)
+	if err := run([]string{"-server", inMemory.URL, "checkpoint"}); err == nil {
 		t.Fatal("checkpoint against a non-durable server should fail")
 	}
 }

@@ -22,10 +22,9 @@
 // Recovery composes the newest snapshot, the segment files it
 // references, and the WAL suffix.
 //
-// The legacy pair stays supported for snapshot-only deployments: with
-// -load the index starts from a file written by -save-on-exit (or by
-// tknn.MBI.Save); with -save-on-exit it persists on SIGINT/SIGTERM. The
-// two modes are mutually exclusive — the WAL subsumes both flags.
+// Without -data-dir the index lives in memory and keeps nothing: the
+// daemon refuses to start if a storage flag is set that only -data-dir
+// (or, for -cache-bytes, -spill) would honor.
 package main
 
 import (
@@ -64,57 +63,94 @@ func holdingHandler() http.HandlerFunc {
 	}
 }
 
+// options is tknnd's command line.
+type options struct {
+	addr, metric, dataDir, fsync                              string
+	dim, leaf, degree, maxInflight, maxQueue, checkpointEvery int
+	tau, eps                                                  float64
+	searchTimeout, shutdownTimeout, fsyncInterval             time.Duration
+	segmentBytes, cacheBytes                                  int64
+	spill                                                     bool
+}
+
+// parseFlags parses args (the command line without the program name); a
+// malformed flag exits with usage, a storage flag the daemon would ignore
+// is an error.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.dim, "dim", 128, "vector dimension")
+	fs.StringVar(&o.metric, "metric", "euclidean", "distance metric: euclidean or angular")
+	fs.IntVar(&o.leaf, "leaf", 4096, "MBI leaf size S_L")
+	fs.Float64Var(&o.tau, "tau", 0.5, "block-selection threshold")
+	fs.IntVar(&o.degree, "degree", 24, "per-block graph degree")
+	fs.Float64Var(&o.eps, "eps", 1.2, "search range-extension factor")
+	fs.DurationVar(&o.searchTimeout, "search-timeout", 0, "per-request search deadline; expired queries return partial results (0 = none)")
+	fs.IntVar(&o.maxInflight, "max-inflight", 0, "admission control: concurrent /search (and, separately, /vectors) requests before queuing and 429s (0 = unlimited)")
+	fs.IntVar(&o.maxQueue, "max-queue", 0, "admission control: queued requests beyond -max-inflight before shedding (0 = same as -max-inflight)")
+	fs.DurationVar(&o.shutdownTimeout, "shutdown-timeout", 10*time.Second, "bound on draining in-flight requests at shutdown; /readyz flips to 503 before the drain starts")
+	fs.StringVar(&o.dataDir, "data-dir", "", "directory for the write-ahead log and checkpoints (durable mode)")
+	fs.StringVar(&o.fsync, "fsync", "interval", "WAL fsync policy: always, interval, or never")
+	fs.DurationVar(&o.fsyncInterval, "fsync-interval", 100*time.Millisecond, "background fsync period for -fsync=interval")
+	fs.IntVar(&o.checkpointEvery, "checkpoint-every", 100000, "checkpoint after this many appended records (0 = manual only)")
+	fs.Int64Var(&o.segmentBytes, "segment-bytes", 64<<20, "WAL segment rotation threshold")
+	fs.BoolVar(&o.spill, "spill", false, "tiered storage: spill cold sealed blocks to segment files under <data-dir>/segments at every checkpoint (requires -data-dir)")
+	fs.Int64Var(&o.cacheBytes, "cache-bytes", 256<<20, "block cache byte bound for -spill; spilled blocks page through this cache")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	return o, storageFlagError(o, set)
+}
+
+// storageFlagError refuses a storage flag the daemon would silently
+// ignore, so no operator mistakes an in-memory index for a durable one:
+// the WAL flags and -spill configure <data-dir>, and -cache-bytes sizes
+// the cache that only spilled blocks page through. set holds the names of
+// the flags given on the command line.
+func storageFlagError(o options, set map[string]bool) error {
+	if o.dataDir == "" {
+		for _, name := range []string{"fsync", "fsync-interval", "checkpoint-every", "segment-bytes", "spill"} {
+			if set[name] {
+				return fmt.Errorf("-%s needs -data-dir: without it the index lives in memory and keeps nothing", name)
+			}
+		}
+	}
+	if set["cache-bytes"] && !o.spill {
+		return errors.New("-cache-bytes needs -spill: only spilled blocks page through the block cache")
+	}
+	return nil
+}
+
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	dim := flag.Int("dim", 128, "vector dimension")
-	metricName := flag.String("metric", "euclidean", "distance metric: euclidean or angular")
-	leaf := flag.Int("leaf", 4096, "MBI leaf size S_L")
-	tau := flag.Float64("tau", 0.5, "block-selection threshold")
-	degree := flag.Int("degree", 24, "per-block graph degree")
-	eps := flag.Float64("eps", 1.2, "search range-extension factor")
-	searchTimeout := flag.Duration("search-timeout", 0, "per-request search deadline; expired queries return partial results (0 = none)")
-	maxInflight := flag.Int("max-inflight", 0, "admission control: concurrent /search (and, separately, /vectors) requests before queuing and 429s (0 = unlimited)")
-	maxQueue := flag.Int("max-queue", 0, "admission control: queued requests beyond -max-inflight before shedding (0 = same as -max-inflight)")
-	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "bound on draining in-flight requests at shutdown; /readyz flips to 503 before the drain starts")
-	dataDir := flag.String("data-dir", "", "directory for the write-ahead log and checkpoints (durable mode)")
-	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval, or never")
-	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync period for -fsync=interval")
-	checkpointEvery := flag.Int("checkpoint-every", 100000, "checkpoint after this many appended records (0 = manual only)")
-	segmentBytes := flag.Int64("segment-bytes", 64<<20, "WAL segment rotation threshold")
-	spill := flag.Bool("spill", false, "tiered storage: spill cold sealed blocks to segment files under <data-dir>/segments at every checkpoint (requires -data-dir)")
-	cacheBytes := flag.Int64("cache-bytes", 256<<20, "block cache byte bound for -spill; spilled blocks page through this cache")
-	load := flag.String("load", "", "load index from file at startup (legacy snapshot mode)")
-	saveOnExit := flag.String("save-on-exit", "", "save index to file on shutdown (legacy snapshot mode)")
-	flag.Parse()
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var metric tknn.Metric
-	switch *metricName {
+	switch o.metric {
 	case "euclidean", "l2":
 		metric = tknn.Euclidean
 	case "angular", "cosine":
 		metric = tknn.Angular
 	default:
-		log.Fatalf("unknown metric %q", *metricName)
+		log.Fatalf("unknown metric %q", o.metric)
 	}
 
 	opts := tknn.MBIOptions{
-		Dim:         *dim,
+		Dim:         o.dim,
 		Metric:      metric,
-		LeafSize:    *leaf,
-		Tau:         *tau,
-		GraphDegree: *degree,
-		Epsilon:     *eps,
+		LeafSize:    o.leaf,
+		Tau:         o.tau,
+		GraphDegree: o.degree,
+		Epsilon:     o.eps,
 	}
-
-	if *dataDir != "" && (*load != "" || *saveOnExit != "") {
-		log.Fatal("-data-dir already persists the index; drop -load/-save-on-exit")
-	}
-	if *spill {
-		if *dataDir == "" {
-			log.Fatal("-spill needs -data-dir: segments live alongside the WAL and checkpoints")
-		}
-		opts.SpillDir = filepath.Join(*dataDir, "segments")
-		opts.CacheBytes = *cacheBytes
+	if o.spill {
+		opts.SpillDir = filepath.Join(o.dataDir, "segments")
+		opts.CacheBytes = o.cacheBytes
 	}
 
 	// Bind the listener before recovery so load balancers can probe the
@@ -127,7 +163,7 @@ func main() {
 	var active atomic.Value
 	active.Store(handlerBox{holdingHandler()})
 	srv := &http.Server{
-		Addr: *addr,
+		Addr: o.addr,
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			active.Load().(handlerBox).h.ServeHTTP(w, r)
 		}),
@@ -137,23 +173,21 @@ func main() {
 	go func() {
 		errCh <- srv.ListenAndServe()
 	}()
-	log.Printf("tknnd listening on %s (dim %d, %s, S_L %d); not ready until recovery completes", *addr, *dim, metric, *leaf)
+	log.Printf("tknnd listening on %s (dim %d, %s, S_L %d); not ready until recovery completes", o.addr, o.dim, metric, o.leaf)
 
 	var ix *tknn.MBI
 	var manager *wal.Manager
-	var err error
-	switch {
-	case *dataDir != "":
-		policy, perr := wal.ParseSyncPolicy(*fsync)
-		if perr != nil {
-			log.Fatal(perr)
+	if o.dataDir != "" {
+		policy, err := wal.ParseSyncPolicy(o.fsync)
+		if err != nil {
+			log.Fatal(err)
 		}
 		manager, err = wal.Open(wal.Config{
-			Dir:             *dataDir,
+			Dir:             o.dataDir,
 			Sync:            policy,
-			SyncInterval:    *fsyncInterval,
-			SegmentBytes:    *segmentBytes,
-			CheckpointEvery: *checkpointEvery,
+			SyncInterval:    o.fsyncInterval,
+			SegmentBytes:    o.segmentBytes,
+			CheckpointEvery: o.checkpointEvery,
 			Logf:            log.Printf,
 		}, func(snapshot io.Reader) (wal.Target, error) {
 			if snapshot == nil {
@@ -162,26 +196,12 @@ func main() {
 			return tknn.LoadMBI(snapshot, opts)
 		})
 		if err != nil {
-			log.Fatalf("opening data dir %s: %v", *dataDir, err)
+			log.Fatalf("opening data dir %s: %v", o.dataDir, err)
 		}
 		ix = manager.Index().(*tknn.MBI)
-		log.Printf("durable mode: %d vectors recovered from %s (fsync=%s)", ix.Len(), *dataDir, policy)
-	case *load != "":
-		f, ferr := os.Open(*load)
-		if ferr != nil {
-			log.Fatalf("opening %s: %v", *load, ferr)
-		}
-		ix, err = tknn.LoadMBI(f, opts)
-		_ = f.Close() // read-only handle; the load error below is the one that matters
-		if err != nil {
-			log.Fatalf("loading index: %v", err)
-		}
-		log.Printf("loaded %d vectors (%d blocks) from %s", ix.Len(), ix.BlockCount(), *load)
-	default:
-		ix, err = tknn.NewMBI(opts)
-		if err != nil {
-			log.Fatalf("creating index: %v", err)
-		}
+		log.Printf("durable mode: %d vectors recovered from %s (fsync=%s)", ix.Len(), o.dataDir, policy)
+	} else if ix, err = tknn.NewMBI(opts); err != nil {
+		log.Fatalf("creating index: %v", err)
 	}
 
 	var handler *server.Server
@@ -190,10 +210,10 @@ func main() {
 	} else {
 		handler = server.New(ix)
 	}
-	handler.SetSearchTimeout(*searchTimeout)
-	if *maxInflight > 0 {
-		handler.SetLimits(server.Limits{MaxInflight: *maxInflight, MaxQueue: *maxQueue})
-		log.Printf("admission control: %d in-flight slots per class", *maxInflight)
+	handler.SetSearchTimeout(o.searchTimeout)
+	if o.maxInflight > 0 {
+		handler.SetLimits(server.Limits{MaxInflight: o.maxInflight, MaxQueue: o.maxQueue})
+		log.Printf("admission control: %d in-flight slots per class", o.maxInflight)
 	}
 	// Recovery is done: swap the real handler in. /readyz flips to 200
 	// here and back to 503 the moment a drain begins.
@@ -202,7 +222,7 @@ func main() {
 
 	// Shut down from the main goroutine: Shutdown blocks until in-flight
 	// requests drain (bounded by -shutdown-timeout), so no insert can
-	// race the final snapshot/seal below.
+	// race the final checkpoint below.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
@@ -210,8 +230,8 @@ func main() {
 		// Flip readiness first so load balancers stop routing new work,
 		// then drain what is already in flight.
 		handler.SetReady(false)
-		log.Printf("received %s; draining connections (bound %v)", s, *shutdownTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
+		log.Printf("received %s; draining connections (bound %v)", s, o.shutdownTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), o.shutdownTimeout)
 		err := srv.Shutdown(ctx)
 		cancel()
 		if err != nil {
@@ -227,7 +247,8 @@ func main() {
 		}
 	}
 
-	// Writes are drained; persist and seal.
+	// Writes are drained; checkpoint and seal. An in-memory index keeps
+	// nothing.
 	if manager != nil {
 		start := time.Now()
 		info, err := manager.Checkpoint()
@@ -240,37 +261,4 @@ func main() {
 			log.Fatalf("sealing WAL: %v", err)
 		}
 	}
-	if *saveOnExit != "" {
-		start := time.Now()
-		if err := saveIndex(ix, *saveOnExit); err != nil {
-			log.Fatalf("saving index: %v", err)
-		}
-		log.Printf("saved %d vectors to %s in %v", ix.Len(), *saveOnExit, time.Since(start).Round(time.Millisecond))
-	}
-}
-
-func saveIndex(ix *tknn.MBI, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	// The cleanup removes are best-effort by design: the write or close
-	// error being returned is the actionable failure, and a stale .tmp
-	// file is harmless (the next save truncates it).
-	if err := ix.Save(f); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	// Rename-into-place keeps a crash from leaving a torn file.
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("renaming into place: %w", err)
-	}
-	return nil
 }

@@ -194,7 +194,6 @@ type mbiMethod struct {
 	workers int
 	ix      *core.Index
 	scr     *core.Scratch // Query's per-method scratch, set by Build
-	builder graph.Builder
 }
 
 // NewMBI returns the paper's method with the profile's Table 3 parameters.
@@ -204,7 +203,6 @@ func NewMBI(p dataset.Profile, seed int64, workers int) *MBIMethod {
 		seed:    seed,
 		tau:     p.Tau,
 		workers: workers,
-		builder: nndescent.MustNew(nndescent.DefaultConfig(p.GraphK)),
 	}}
 }
 
@@ -220,9 +218,6 @@ func (m *MBIMethod) Exact() bool  { return false }
 // SetTau overrides the block-selection threshold (Figure 9).
 func (m *MBIMethod) SetTau(tau float64) { m.tau = tau }
 
-// SetBuilder overrides the per-block graph builder (builder ablation).
-func (m *MBIMethod) SetBuilder(b graph.Builder) { m.builder = b }
-
 // SetLeafSize overrides S_L (Figure 8). Must be called before Build.
 func (m *MBIMethod) SetLeafSize(sl int) { m.profile.LeafSize = sl }
 
@@ -233,7 +228,7 @@ func (m *MBIMethod) Build(d *dataset.Data) time.Duration {
 		Metric:   m.profile.Metric,
 		LeafSize: m.profile.LeafSize,
 		Tau:      m.tau,
-		Builder:  m.builder,
+		Builder:  nndescent.MustNew(nndescent.DefaultConfig(m.profile.GraphK)),
 		Search:   graph.SearchParams{MC: m.profile.MC, Eps: 1.1},
 		Workers:  m.workers,
 		Seed:     m.seed,

@@ -178,24 +178,6 @@ func TestTablesSmoke(t *testing.T) {
 	}
 }
 
-func TestAblationSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	rows := AblationBuilder(tinyConfig(), &buf)
-	if len(rows) != 4 { // 2 builders x 2 fractions
-		t.Fatalf("%d rows, want 4", len(rows))
-	}
-	builders := map[string]bool{}
-	for _, r := range rows {
-		builders[r.Builder] = true
-		if r.Op.QPS <= 0 {
-			t.Errorf("%s: non-positive QPS", r.Builder)
-		}
-	}
-	if !builders["nndescent"] || !builders["nsw"] {
-		t.Error("missing a builder in the ablation")
-	}
-}
-
 func TestQPSAtRecallExactShortCircuit(t *testing.T) {
 	c := tinyConfig()
 	p := tinyProfiles(t)[0]
@@ -206,33 +188,6 @@ func TestQPSAtRecallExactShortCircuit(t *testing.T) {
 	op := qpsAtRecall(c, bs, qs, gt)
 	if !op.Reached || op.Recall < 0.999 {
 		t.Errorf("exact method scored %+v", op)
-	}
-}
-
-func TestDriftExperimentSmoke(t *testing.T) {
-	c := tinyConfig()
-	var buf bytes.Buffer
-	rows := DriftExperiment(c, &buf)
-	if len(rows) != 6 { // 3 rates x 2 fractions
-		t.Fatalf("%d rows, want 6", len(rows))
-	}
-	var zero, high float32
-	for _, r := range rows {
-		if r.MBI.QPS <= 0 || r.BSBF.QPS <= 0 {
-			t.Errorf("non-positive QPS at rate %g", r.Rate)
-		}
-		switch r.Rate {
-		case 0:
-			zero = r.Spread
-		case 2e-3:
-			high = r.Spread
-		}
-	}
-	if high <= zero {
-		t.Errorf("spread did not grow with drift: %g -> %g", zero, high)
-	}
-	if !strings.Contains(buf.String(), "Drift experiment") {
-		t.Error("missing banner")
 	}
 }
 

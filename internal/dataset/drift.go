@@ -11,9 +11,8 @@ import (
 // genres, and weather regimes drift, so vectors from 2024 occupy a
 // different region of the space than vectors from 2008. GenerateDrifting
 // produces such a workload by random-walking the cluster centers as time
-// advances. Drift is the interesting regime for MBI versus SF: each MBI
-// block's graph covers a temporally (hence spatially) coherent slice,
-// while SF's single graph must span every era at once.
+// advances; the SQ8 and tiered-storage experiments and the benchmark
+// harness draw their workloads from it.
 
 // DriftConfig controls GenerateDrifting.
 type DriftConfig struct {
@@ -90,36 +89,4 @@ func GenerateDrifting(p Profile, cfg DriftConfig, seed int64) *Data {
 		queries[i] = sample()
 	}
 	return &Data{Profile: p, Train: train, Times: times, Test: queries}
-}
-
-// CenterSpread is a cheap, model-free drift indicator: the Euclidean
-// distance between the centroids of the first and last quartiles of the
-// training data. Stationary data gives sampling noise (~sqrt(8/n) for
-// unit vectors); drifting data grows with the drift rate. Euclidean is
-// used regardless of the profile metric because cosine distance between
-// near-zero centroids (random cluster directions cancel) is meaningless.
-func CenterSpread(d *Data) float32 {
-	n := d.Train.Len()
-	if n < 20 {
-		return 0
-	}
-	dim := d.Train.Dim()
-	first := make([]float32, dim)
-	last := make([]float32, dim)
-	quarter := n / 4
-	for i := 0; i < quarter; i++ {
-		a, b := d.Train.At(i), d.Train.At(n-1-i)
-		for j := 0; j < dim; j++ {
-			first[j] += a[j] / float32(quarter)
-			last[j] += b[j] / float32(quarter)
-		}
-	}
-	return sqrt32(vec.SquaredL2(first, last))
-}
-
-func sqrt32(x float32) float32 {
-	if x <= 0 {
-		return 0
-	}
-	return float32(math.Sqrt(float64(x)))
 }

@@ -1,9 +1,11 @@
 // Package graph holds the proximity-graph machinery shared by every
 // graph-backed index in this repository: a compact CSR adjacency
-// representation, the Builder interface that NNDescent and NSW implement,
-// and the time-filtered best-first search of the paper's Algorithm 2
-// ("Graph-based SF Query Process"). MBI runs this search inside each
-// selected block; the SF baseline runs it over the whole database.
+// representation, the Builder interface that NNDescent implements (§4.1's
+// pluggable per-block index, and the seam tests substitute a fake
+// through), and the time-filtered best-first search of the paper's
+// Algorithm 2 ("Graph-based SF Query Process"). MBI runs this search
+// inside each selected block; the SF baseline runs it over the whole
+// database.
 package graph
 
 import (
@@ -112,7 +114,4 @@ type Builder interface {
 	// Build returns a proximity graph over view. seed drives any internal
 	// randomization so that index construction is reproducible.
 	Build(view vec.View, seed int64) *CSR
-
-	// Name identifies the builder in logs and experiment output.
-	Name() string
 }

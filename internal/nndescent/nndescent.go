@@ -71,12 +71,6 @@ func MustNew(cfg Config) *Builder {
 	return b
 }
 
-// Name implements graph.Builder.
-func (b *Builder) Name() string { return "nndescent" }
-
-// Config returns the builder's configuration.
-func (b *Builder) Config() Config { return b.cfg }
-
 // entry is one slot in a node's bounded neighbor heap.
 type entry struct {
 	id    int32

@@ -147,7 +147,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointWithoutDataDirIs404 pins the legacy-mode behavior.
+// TestCheckpointWithoutDataDirIs404 pins the in-memory behavior.
 func TestCheckpointWithoutDataDirIs404(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, body := postJSON(t, ts.URL+"/admin/checkpoint", struct{}{})
@@ -188,8 +188,8 @@ func TestWALMetricsExposed(t *testing.T) {
 		}
 	}
 
-	_, legacy := newTestServer(t)
-	resp2, err := http.Get(legacy.URL + "/metrics")
+	_, inMemory := newTestServer(t)
+	resp2, err := http.Get(inMemory.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +199,6 @@ func TestWALMetricsExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if strings.Contains(string(raw2), "tknn_wal_") {
-		t.Error("legacy mode should not expose WAL metrics")
+		t.Error("an in-memory server should not expose WAL metrics")
 	}
 }

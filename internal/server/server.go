@@ -42,7 +42,7 @@ const statusClientClosedRequest = 499
 type Server struct {
 	ix *tknn.MBI
 	// durable, when set, write-ahead-logs every insert and serves
-	// /admin/checkpoint; nil means the legacy snapshot-on-exit mode.
+	// /admin/checkpoint; nil means an in-memory index that keeps nothing.
 	durable *wal.Manager
 	// addMu serializes ingestion: tknn.MBI.Add is single-writer.
 	addMu   sync.Mutex

@@ -167,7 +167,7 @@ func (v View) At(i int) []float32 { return v.Store.At(v.Lo + i) }
 
 // Dist returns the metric distance between the vectors at local indices i
 // and j. Both norms come from the store's cache, so an angular graph build
-// (NNDescent, NSW, connectivity repair) pays one dot product per pair, not
+// (NNDescent and graph.EnsureConnected) pays one dot product per pair, not
 // three. Bit-identical to Distance over the two vectors.
 func (v View) Dist(i, j int) float32 {
 	s := v.Store

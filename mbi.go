@@ -9,32 +9,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/nndescent"
-	"repro/internal/nsw"
 	"repro/internal/persist"
 	"repro/internal/sq"
 )
-
-// GraphAlgorithm selects the per-block proximity-graph construction
-// algorithm. The paper uses NNDescent; NSW is provided because MBI treats
-// the graph index as a pluggable module (§4.1).
-type GraphAlgorithm int
-
-const (
-	// NNDescent builds each block's graph with the NNDescent local-join
-	// algorithm (the paper's choice).
-	NNDescent GraphAlgorithm = iota
-	// NSW builds each block's graph by incremental Navigable-Small-World
-	// insertion.
-	NSW
-)
-
-// String returns the algorithm's name.
-func (a GraphAlgorithm) String() string {
-	if a == NSW {
-		return "nsw"
-	}
-	return "nndescent"
-}
 
 // Compression selects how sealed blocks store their vectors for search.
 type Compression int
@@ -82,10 +59,8 @@ type MBIOptions struct {
 	// are searched per query when Tau <= 0.5. Default 0.5, the paper's
 	// recommendation when no tuning data is available.
 	Tau float64
-	// Graph selects the per-block graph construction algorithm.
-	Graph GraphAlgorithm
-	// GraphDegree is the neighbor count of each block graph (NNDescent K
-	// or NSW M). Default 24.
+	// GraphDegree is the neighbor count K of each block's NNDescent
+	// graph. Default 24.
 	GraphDegree int
 	// MaxCandidates is the search-time candidate cap M_C. Default
 	// 2*GraphDegree.
@@ -194,17 +169,6 @@ func (o *MBIOptions) ApplyDefaults() error {
 	return nil
 }
 
-func (o MBIOptions) builder() (graph.Builder, error) {
-	switch o.Graph {
-	case NNDescent:
-		return nndescent.New(nndescent.DefaultConfig(o.GraphDegree))
-	case NSW:
-		return nsw.New(nsw.DefaultConfig(o.GraphDegree))
-	default:
-		return nil, fmt.Errorf("tknn: unknown graph algorithm %d", o.Graph)
-	}
-}
-
 // spillConfig wires the core index's tiered storage to persist's
 // per-block segment files under SpillDir. Nil without SpillDir.
 func (o MBIOptions) spillConfig() *core.SpillConfig {
@@ -229,7 +193,7 @@ func (o MBIOptions) spillConfig() *core.SpillConfig {
 }
 
 func (o MBIOptions) coreOptions() (core.Options, error) {
-	b, err := o.builder()
+	b, err := nndescent.New(nndescent.DefaultConfig(o.GraphDegree))
 	if err != nil {
 		return core.Options{}, err
 	}

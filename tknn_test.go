@@ -228,29 +228,6 @@ func TestSFOptionsValidation(t *testing.T) {
 	}
 }
 
-func TestNSWGraphOption(t *testing.T) {
-	ix, err := tknn.NewMBI(tknn.MBIOptions{Dim: 8, LeafSize: 32, Graph: tknn.NSW, GraphDegree: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs := randClustered(5, 150, 8)
-	for i, v := range vs {
-		if err := ix.Add(v, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := ix.Search(tknn.Query{Vector: vs[88], K: 1, Start: 0, End: 150})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || res[0].ID != 88 {
-		t.Errorf("NSW-backed search = %v", res)
-	}
-	if tknn.NSW.String() != "nsw" || tknn.NNDescent.String() != "nndescent" {
-		t.Error("GraphAlgorithm names wrong")
-	}
-}
-
 // TestCrossIndexAgreement: on the same data, all three indexes agree on
 // the (unambiguous) nearest neighbor.
 func TestCrossIndexAgreement(t *testing.T) {
