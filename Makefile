@@ -105,15 +105,20 @@ ONEPROC_PKGS = . ./internal/exec ./internal/core ./internal/bsbf ./internal/sf .
 oneproc:
 	GOMAXPROCS=1 $(GO) test -count=1 $(ONEPROC_PKGS)
 
-# The request-body fuzzers, fuzzing for 10 s each (`make test` runs only
-# their seed corpora): the /search and /vectors handlers must answer 200,
-# 400 or 413 and count what they acknowledge, and the wire decoders must
-# match json.Unmarshal. Go fuzzes one target per run.
-FUZZ_SMOKE = FuzzSearchBody FuzzVectorsBody FuzzWireMatchesEncodingJSON
+# The fuzzers, fuzzing for 10 s each (`make test` runs only their seed
+# corpora): the /search and /vectors handlers must answer 200, 400 or 413
+# and count what they acknowledge, the wire decoders must match
+# json.Unmarshal, the graph walk must return exactly its reference walk's
+# answer, and the bounded frontier queue must match its sort model. Each
+# entry is package:target; Go fuzzes one target per run.
+FUZZ_SMOKE = ./internal/server:FuzzSearchBody ./internal/server:FuzzVectorsBody \
+	./internal/server:FuzzWireMatchesEncodingJSON ./internal/graph:FuzzWalkMatchesReference \
+	./internal/theap:FuzzMinQueueMatchesSortModel
 
 fuzz-smoke:
-	@for f in $(FUZZ_SMOKE); do \
-		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/server/ || exit 1; \
+	@for e in $(FUZZ_SMOKE); do \
+		pkg=$${e%%:*}; f=$${e#*:}; \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$pkg/ || exit 1; \
 	done
 
 # SQ8 compression benchmark: bytes/vector and memory reduction,

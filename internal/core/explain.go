@@ -47,6 +47,9 @@ type BlockPlan struct {
 	// Found is the number of neighbors the block's subtask returned in an
 	// executed plan.
 	Found int
+	// DistEvals is the number of distances the block's subtask computed in
+	// an executed plan (exec.SubtaskResult.DistEvals).
+	DistEvals int
 }
 
 // Plan is the result of Explain: everything block selection decided for a
@@ -74,6 +77,8 @@ type Plan struct {
 	// Fetch is the summed time cold blocks spent paging their payloads
 	// through the block cache; it overlaps the Search wall clock.
 	Select, Search, Merge, Rerank, Fetch time.Duration
+	// DistEvals is the executed query's summed per-block DistEvals.
+	DistEvals int
 }
 
 // String renders the plan like an EXPLAIN output; executed plans include
@@ -83,7 +88,7 @@ func (p Plan) String() string {
 	fmt.Fprintf(&b, "window [%d, %d): %d vectors in %d block(s), tau=%.2f\n",
 		p.WindowStart, p.WindowEnd, p.TotalInWindow, len(p.Blocks), p.Tau)
 	if p.Executed {
-		fmt.Fprintf(&b, "executed: select %v, search %v, merge %v", p.Select, p.Search, p.Merge)
+		fmt.Fprintf(&b, "executed: select %v, search %v, merge %v, %d dist evals", p.Select, p.Search, p.Merge, p.DistEvals)
 		if p.Rerank > 0 {
 			fmt.Fprintf(&b, " (rerank %v)", p.Rerank)
 		}
@@ -112,7 +117,7 @@ func (p Plan) String() string {
 			if blk.Skipped {
 				b.WriteString(", skipped")
 			} else {
-				fmt.Fprintf(&b, ", %d found in %v", blk.Found, blk.Duration)
+				fmt.Fprintf(&b, ", %d found in %v, %d dist evals", blk.Found, blk.Duration, blk.DistEvals)
 			}
 		}
 		b.WriteString("\n")
@@ -182,6 +187,7 @@ func (ix *Index) explainExecutedLocked(plan *Plan, sel []selection, out exec.Out
 	plan.Merge = out.Merge
 	plan.Rerank = out.Rerank
 	plan.Fetch = out.Fetch
+	plan.DistEvals = out.DistEvals
 	// planLocked emits exactly one subtask per selection, in order, so the
 	// executed results annotate the static blocks 1:1.
 	for i := range plan.Blocks {
@@ -190,6 +196,7 @@ func (ix *Index) explainExecutedLocked(plan *Plan, sel []selection, out exec.Out
 		plan.Blocks[i].Skipped = sr.Skipped
 		plan.Blocks[i].Found = sr.Found
 		plan.Blocks[i].Fetch = sr.Fetch
+		plan.Blocks[i].DistEvals = sr.DistEvals
 		// A cold block's compressed flag is only knowable once the fetch
 		// resolved the payload; the executed kind carries it.
 		if sr.Cold && sr.Kind == exec.CompressedGraph {

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/sq"
 )
 
 func TestExplainMatchesSelection(t *testing.T) {
@@ -185,5 +187,68 @@ func TestTuneTauValidation(t *testing.T) {
 	}
 	if len(table.Taus) != len(table.Fractions) {
 		t.Errorf("table shape %d/%d", len(table.Taus), len(table.Fractions))
+	}
+}
+
+// TestExplainCountsDistEvals: an executed plan reports each block's
+// distance evaluations — a flat graph block at most one per node (the
+// walk's memo scores each node once per query), the open leaf one per
+// in-window row — sums them into the plan and prints them, and the counts
+// are the same on every run and at one and at four procs.
+func TestExplainCountsDistEvals(t *testing.T) {
+	for _, kind := range []sq.Kind{sq.None, sq.SQ8} {
+		opts := testOptions(16)
+		opts.Compression = kind
+		ix, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs := fill(t, ix, 63, 300) // 18 sealed leaves and 12 open rows
+		rng := rand.New(rand.NewSource(64))
+		type ask struct {
+			q      []float32
+			ts, te int64
+		}
+		asks := make([]ask, 20)
+		for i := range asks {
+			a := rng.Intn(300)
+			asks[i] = ask{vs[rng.Intn(len(vs))], int64(a), int64(a + 1 + rng.Intn(300-a))}
+		}
+		want := make([][]int, len(asks))
+		for _, procs := range []int{1, 4} {
+			setProcs(t, procs)
+			for run := 0; run < 2; run++ {
+				for ai, a := range asks {
+					var plan Plan
+					queryCtx(context.Background(), ix, Request{Q: a.q, K: 5, Ts: a.ts, Te: a.te, Explain: &plan})
+					counts := make([]int, len(plan.Blocks))
+					sum := 0
+					for bi, blk := range plan.Blocks {
+						n := blk.Hi - blk.Lo
+						switch {
+						case blk.BruteForce && blk.DistEvals != blk.InWindow:
+							t.Fatalf("%v query %d: open leaf scored %d rows, %d in window", kind, ai, blk.DistEvals, blk.InWindow)
+						case !blk.BruteForce && !blk.Compressed && (blk.DistEvals <= 0 || blk.DistEvals > n):
+							t.Fatalf("%v query %d: graph block of %d nodes made %d distance evaluations", kind, ai, n, blk.DistEvals)
+						case blk.Compressed && (blk.DistEvals <= 0 || blk.DistEvals > 2*n):
+							t.Fatalf("%v query %d: compressed block of %d nodes made %d distance evaluations", kind, ai, n, blk.DistEvals)
+						}
+						counts[bi] = blk.DistEvals
+						sum += blk.DistEvals
+					}
+					if plan.DistEvals != sum {
+						t.Fatalf("%v query %d: plan total %d, blocks sum to %d", kind, ai, plan.DistEvals, sum)
+					}
+					if !strings.Contains(plan.String(), "dist evals") {
+						t.Fatalf("%v query %d: plan string omits the counts:\n%s", kind, ai, plan.String())
+					}
+					if want[ai] == nil {
+						want[ai] = counts
+					} else if !reflect.DeepEqual(counts, want[ai]) {
+						t.Fatalf("%v query %d at %d procs, run %d: counts %v, first run %v", kind, ai, procs, run, counts, want[ai])
+					}
+				}
+			}
+		}
 	}
 }

@@ -36,9 +36,13 @@ func (ix *Index) planTimedLocked(scr *Scratch, q []float32, k int, ts, te int64,
 // starts the walk in a basin the ε-bounded expansion cannot escape and
 // misses an exact match even at k=1; multi-seeding the frontier with a
 // handful of independent starts unions their basins, so a miss requires
-// every seed to be unlucky at once. The extra cost is a few frontier
-// pushes — noise next to the hundreds of distance evaluations a traversal
-// performs.
+// every seed to be unlucky at once. The restarts are not cheap walks: on
+// the benchmark's data a serve-long-shaped query's walks (four per graph
+// block) step onto nodes 4 518 times but reach only 1 373 distinct ones,
+// each restart re-treading the basin the first walk covered. The searcher's per-query
+// distance memo scores each of those nodes once, so what the extra seeds
+// cost in distance evaluations is only the nodes no earlier walk reached.
+// The count is a default that answers depend on: changing it changes them.
 const entryProbes = 4
 
 // pickEntriesLocked draws the graph entry seeds for one selected block at

@@ -164,6 +164,11 @@ type SubtaskResult struct {
 	Skipped bool
 	// Found is the number of neighbors the subtask returned.
 	Found int
+	// DistEvals is the number of distances the subtask's kernel computed:
+	// the distinct nodes a graph walk scored (its per-query memo answers
+	// every revisit), the rows a scan scored, plus, for the compressed
+	// kinds, the candidates the exact re-rank re-scored.
+	DistEvals int
 	// Rerank is the time the compressed kernels spent re-scoring their
 	// over-fetched candidates against the float32 store (zero for
 	// uncompressed subtasks). It is contained in Duration.
@@ -201,6 +206,8 @@ type Outcome struct {
 	Fetch time.Duration
 	// Merge is the duration of the final theap.Merge combine.
 	Merge time.Duration
+	// DistEvals is the plan's summed per-subtask DistEvals.
+	DistEvals int
 	// Subtasks records per-subtask execution, in plan order.
 	Subtasks []SubtaskResult
 }
@@ -288,6 +295,7 @@ func Run(ctx context.Context, p Plan, scr *Scratch) ([]theap.Neighbor, Outcome) 
 	for i := range lists {
 		out.Rerank += out.Subtasks[i].Rerank
 		out.Fetch += out.Subtasks[i].Fetch
+		out.DistEvals += out.Subtasks[i].DistEvals
 		if out.Subtasks[i].Skipped {
 			out.Partial = true
 		} else if len(lists[i]) > 0 {

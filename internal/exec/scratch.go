@@ -152,16 +152,16 @@ func (s *Scratch) runSubtask(ctx context.Context, p *Plan, i, slot int) []theap.
 	top.ResetK(p.K)
 	switch st.Kind {
 	case GraphSearch:
-		return s.graphKernel(st, p.Query, p.K, top, slot)
+		return s.graphKernel(st, p.Query, p.K, top, i, slot)
 	case CompressedGraph:
 		return s.compressedGraphKernel(st, p.Query, p.K, top, i, slot)
 	case CompressedScan:
 		return s.compressedScanKernel(ctx, st, p.Query, p.K, top, i)
 	}
 	if st.List != nil {
-		ScanListInto(ctx, top, st.Store, st.Metric, p.Query, st.List)
+		s.results[i].DistEvals = ScanListInto(ctx, top, st.Store, st.Metric, p.Query, st.List)
 	} else {
-		ScanInto(ctx, top, st.Store, st.Metric, p.Query, st.ScanLo, st.ScanHi)
+		s.results[i].DistEvals = ScanInto(ctx, top, st.Store, st.Metric, p.Query, st.ScanLo, st.ScanHi)
 	}
 	return top.Items()
 }
@@ -170,24 +170,25 @@ func (s *Scratch) runSubtask(ctx context.Context, p *Plan, i, slot int) []theap.
 // the block's view, rebased to global ids. A graph traversal visits a
 // bounded frontier and is short relative to scans; cancellation is honored
 // between subtasks rather than inside the walk.
-func (s *Scratch) graphKernel(st *Subtask, q []float32, k int, top *theap.TopK, slot int) []theap.Neighbor {
+func (s *Scratch) graphKernel(st *Subtask, q []float32, k int, top *theap.TopK, i, slot int) []theap.Neighbor {
 	sr := s.searchers[slot]
 	view := vec.View{Store: st.Store, Lo: st.Lo, Hi: st.Hi, Metric: st.Metric}
 	sr.SearchInto(top, st.Graph, view, q, st.Times, st.Ts, st.Te, st.Params, st.Entries, k)
+	s.results[i].DistEvals = sr.DistEvals()
 	res := top.Items()
 	base := int32(st.Lo)
-	for i := range res {
-		res[i].ID += base
+	for j := range res {
+		res[j].ID += base
 	}
 	if invariant.Enabled {
-		for i, nb := range res {
+		for j, nb := range res {
 			invariant.Checkf(int(nb.ID) >= st.Lo && int(nb.ID) < st.Hi,
-				"exec: graph result %d has id %d outside [%d,%d)", i, nb.ID, st.Lo, st.Hi)
+				"exec: graph result %d has id %d outside [%d,%d)", j, nb.ID, st.Lo, st.Hi)
 			invariant.Checkf(st.Times == nil ||
 				(st.Times[nb.ID-base] >= st.Ts && st.Times[nb.ID-base] < st.Te),
-				"exec: graph result %d (id %d) fails the time window", i, nb.ID)
-			invariant.Checkf(i == 0 || !theap.Less(res[i], res[i-1]),
-				"exec: graph results not ascending at %d", i)
+				"exec: graph result %d (id %d) fails the time window", j, nb.ID)
+			invariant.Checkf(j == 0 || !theap.Less(res[j], res[j-1]),
+				"exec: graph results not ascending at %d", j)
 		}
 	}
 	return res
@@ -207,12 +208,14 @@ func (s *Scratch) compressedScanKernel(ctx context.Context, st *Subtask, q []flo
 	}
 	top.ResetK(rk)
 	qn := vec.Norm(q)
-	for g := st.ScanLo; g < st.ScanHi; g++ {
+	g := st.ScanLo
+	for ; g < st.ScanHi; g++ {
 		if (g-st.ScanLo)%scanPoll == scanPoll-1 && ctx.Err() != nil {
 			break
 		}
 		top.Push(theap.Neighbor{ID: int32(g), Dist: st.Codes.Dist(st.Metric, q, qn, g-st.Lo)})
 	}
+	s.results[i].DistEvals = g - st.ScanLo
 	return s.rerank(st, q, k, top.Items(), i)
 }
 
@@ -229,6 +232,7 @@ func (s *Scratch) compressedGraphKernel(st *Subtask, q []float32, k int, top *th
 	qn := vec.Norm(q)
 	sr := s.searchers[slot]
 	sr.SearchCodesInto(top, st.Graph, st.Codes, q, st.Metric, qn, st.Times, st.Ts, st.Te, st.Params, st.Entries, rk)
+	s.results[i].DistEvals = sr.DistEvals()
 	cands := top.Items()
 	base := int32(st.Lo)
 	for j := range cands {
@@ -253,7 +257,8 @@ func (s *Scratch) compressedGraphKernel(st *Subtask, q []float32, k int, top *th
 // over-fetched candidates (global ids, asymmetric distances) are re-scored
 // against the float32 store into the subtask's re-rank heap, which keeps
 // the exact top k. Its duration is recorded on the subtask's result — the
-// Rerank stage the server exports.
+// Rerank stage the server exports — and its exact distances are added to
+// the subtask's DistEvals.
 //
 //tknn:hotpath
 func (s *Scratch) rerank(st *Subtask, q []float32, k int, cands []theap.Neighbor, i int) []theap.Neighbor {
@@ -265,6 +270,7 @@ func (s *Scratch) rerank(st *Subtask, q []float32, k int, cands []theap.Neighbor
 		rt.Push(theap.Neighbor{ID: nb.ID, Dist: vec.DistanceStored(st.Metric, q, qsq, st.Store, int(nb.ID))})
 	}
 	s.results[i].Rerank = time.Since(start)
+	s.results[i].DistEvals += len(cands)
 	return rt.Items()
 }
 
@@ -277,29 +283,33 @@ const scanPoll = 2048
 // pushing every row into top — the BruteForce step of Algorithm 1 as a
 // kernel over a caller-owned heap. The scan polls ctx every scanPoll rows
 // and stops early with what it has when the context is done; the executor
-// tags the outcome Partial whenever that happens mid-plan.
+// tags the outcome Partial whenever that happens mid-plan. It returns the
+// number of rows it scored.
 //
 //tknn:hotpath
-func ScanInto(ctx context.Context, top *theap.TopK, store *vec.Store, metric vec.Metric, q []float32, lo, hi int) {
+func ScanInto(ctx context.Context, top *theap.TopK, store *vec.Store, metric vec.Metric, q []float32, lo, hi int) int {
 	qsq := vec.SquaredNorm(q) // hoisted once; the angular path then reads cached vector norms
-	for i := lo; i < hi; i++ {
+	i := lo
+	for ; i < hi; i++ {
 		if (i-lo)%scanPoll == scanPoll-1 && ctx.Err() != nil {
-			return
+			break
 		}
 		top.Push(theap.Neighbor{ID: int32(i), Dist: vec.DistanceStored(metric, q, qsq, store, i)})
 	}
+	return i - lo
 }
 
 // ScanListInto is ScanInto over an explicit global-id list — how IVF
 // probes score the in-window run of an inverted list.
 //
 //tknn:hotpath
-func ScanListInto(ctx context.Context, top *theap.TopK, store *vec.Store, metric vec.Metric, q []float32, ids []int32) {
+func ScanListInto(ctx context.Context, top *theap.TopK, store *vec.Store, metric vec.Metric, q []float32, ids []int32) int {
 	qsq := vec.SquaredNorm(q)
 	for j, id := range ids {
 		if j%scanPoll == scanPoll-1 && ctx.Err() != nil {
-			return
+			return j
 		}
 		top.Push(theap.Neighbor{ID: id, Dist: vec.DistanceStored(metric, q, qsq, store, int(id))})
 	}
+	return len(ids)
 }

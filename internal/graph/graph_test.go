@@ -77,6 +77,15 @@ func lineGraphView(t *testing.T, n int) (*CSR, vec.View) {
 	return FromLists(lists), vec.View{Store: s, Lo: 0, Hi: n, Metric: vec.Euclidean}
 }
 
+// search runs one query through SearchInto and returns its answer in
+// ascending order. times and the window [ts, te) filter as SearchInto
+// does; nil times admits every node.
+func search(s *Searcher, g *CSR, view vec.View, q []float32, k int, times []int64, ts, te int64, p SearchParams, entries ...int32) []theap.Neighbor {
+	var top theap.TopK
+	s.SearchInto(&top, g, view, q, times, ts, te, p, entries, k)
+	return top.Items()
+}
+
 func TestSearchFindsExactOnPathGraph(t *testing.T) {
 	g, view := lineGraphView(t, 100)
 	s := NewSearcher(100)
@@ -84,7 +93,7 @@ func TestSearchFindsExactOnPathGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		target := float32(rng.Intn(100))
-		res := s.Search(g, view, []float32{target}, 3, nil, p, RandomEntry(rng, 100))
+		res := search(s, g, view, []float32{target}, 3, nil, 0, 0, p, RandomEntry(rng, 100))
 		if len(res) != 3 {
 			t.Fatalf("got %d results, want 3", len(res))
 		}
@@ -98,9 +107,12 @@ func TestSearchHonorsFilter(t *testing.T) {
 	g, view := lineGraphView(t, 100)
 	s := NewSearcher(100)
 	p := SearchParams{MC: 64, Eps: 1.4}
-	// Only even ids may be results.
-	filter := func(id int32) bool { return id%2 == 0 }
-	res := s.Search(g, view, []float32{50}, 5, filter, p, 0)
+	// Only even ids may be results: they alone carry a timestamp in [0, 1).
+	times := make([]int64, 100)
+	for i := range times {
+		times[i] = int64(i % 2)
+	}
+	res := search(s, g, view, []float32{50}, 5, times, 0, 1, p, 0)
 	if len(res) != 5 {
 		t.Fatalf("got %d results, want 5", len(res))
 	}
@@ -117,7 +129,7 @@ func TestSearchHonorsFilter(t *testing.T) {
 func TestSearchResultsSortedAscending(t *testing.T) {
 	g, view := lineGraphView(t, 64)
 	s := NewSearcher(64)
-	res := s.Search(g, view, []float32{10.4}, 8, nil, SearchParams{MC: 32, Eps: 1.3}, 63)
+	res := search(s, g, view, []float32{10.4}, 8, nil, 0, 0, SearchParams{MC: 32, Eps: 1.3}, 63)
 	for i := 1; i < len(res); i++ {
 		if res[i].Dist < res[i-1].Dist {
 			t.Fatalf("results not sorted: %v", res)
@@ -128,11 +140,11 @@ func TestSearchResultsSortedAscending(t *testing.T) {
 func TestSearchEmptyGraphAndBadK(t *testing.T) {
 	s := NewSearcher(0)
 	var view vec.View
-	if got := s.Search(&CSR{Off: []int32{0}}, view, []float32{1}, 3, nil, SearchParams{MC: 8, Eps: 1.1}, 0); got != nil {
+	if got := search(s, &CSR{Off: []int32{0}}, view, []float32{1}, 3, nil, 0, 0, SearchParams{MC: 8, Eps: 1.1}, 0); got != nil {
 		t.Errorf("search on empty graph = %v, want nil", got)
 	}
 	g, v := lineGraphView(t, 4)
-	if got := s.Search(g, v, []float32{1}, 0, nil, SearchParams{MC: 8, Eps: 1.1}, 0); got != nil {
+	if got := search(s, g, v, []float32{1}, 0, nil, 0, 0, SearchParams{MC: 8, Eps: 1.1}, 0); got != nil {
 		t.Errorf("search with k=0 = %v, want nil", got)
 	}
 }
@@ -142,8 +154,9 @@ func TestSearchFewerMatchesThanK(t *testing.T) {
 	s := NewSearcher(20)
 	// Only ids 3 and 7 pass the filter; eps generous so the whole graph
 	// is explored.
-	filter := func(id int32) bool { return id == 3 || id == 7 }
-	res := s.Search(g, view, []float32{5}, 10, filter, SearchParams{MC: 64, Eps: 100}, 0)
+	times := make([]int64, 20)
+	times[3], times[7] = 1, 1
+	res := search(s, g, view, []float32{5}, 10, times, 1, 2, SearchParams{MC: 64, Eps: 100}, 0)
 	if len(res) != 2 {
 		t.Fatalf("got %d results, want 2", len(res))
 	}
@@ -153,21 +166,36 @@ func TestSearcherEpochReuse(t *testing.T) {
 	g, view := lineGraphView(t, 30)
 	s := NewSearcher(0) // starts empty, must grow
 	for i := 0; i < 5; i++ {
-		res := s.Search(g, view, []float32{float32(i * 5)}, 1, nil, SearchParams{MC: 16, Eps: 1.2}, 0)
+		res := search(s, g, view, []float32{float32(i * 5)}, 1, nil, 0, 0, SearchParams{MC: 16, Eps: 1.2}, 0)
 		if len(res) != 1 || res[0].ID != int32(i*5) {
 			t.Fatalf("query %d: got %v", i, res)
 		}
 	}
 }
 
+// TestSearcherEpochWraparound: the walk epoch and the query epoch (which
+// stamps both the admitted set and the distance memo) wrap, and the wrap
+// clears their stamps: every array is poisoned with the stamp the epochs
+// restart at, so a stale entry would drop a node from a walk, keep it out
+// of the result, or hand it a bogus distance.
 func TestSearcherEpochWraparound(t *testing.T) {
 	g, view := lineGraphView(t, 10)
 	s := NewSearcher(10)
-	s.epoch = ^uint32(0) - 1 // force a wrap within two searches
+	for i := range s.memo {
+		s.visited[i] = 1
+		s.admitted[i] = 1
+		s.memo[i] = memoEntry{stamp: 1, dist: -1}
+	}
+	s.epoch = ^uint32(0) - 1 // wraps at the query's second walk
+	s.qEpoch = ^uint32(0)    // wraps at the first query
 	for i := 0; i < 3; i++ {
-		res := s.Search(g, view, []float32{4}, 1, nil, SearchParams{MC: 16, Eps: 1.2}, 0)
-		if len(res) != 1 || res[0].ID != 4 {
+		q := []float32{float32(4 + i%2)}
+		res := search(s, g, view, q, 1, nil, 0, 0, SearchParams{MC: 16, Eps: 1.2}, 0, 9, 0)
+		if len(res) != 1 || res[0].ID != int32(4+i%2) || res[0].Dist != 0 {
 			t.Fatalf("post-wrap query %d: got %v", i, res)
+		}
+		if ev := s.DistEvals(); ev != 10 {
+			t.Fatalf("post-wrap query %d: %d distance evaluations, want one per node (10)", i, ev)
 		}
 	}
 }
@@ -177,7 +205,7 @@ func TestSearchMCTrimStillFindsNearWithGoodEntry(t *testing.T) {
 	// target's own node must still return it.
 	g, view := lineGraphView(t, 200)
 	s := NewSearcher(200)
-	res := s.Search(g, view, []float32{123}, 1, nil, SearchParams{MC: 2, Eps: 1.01}, 123)
+	res := search(s, g, view, []float32{123}, 1, nil, 0, 0, SearchParams{MC: 2, Eps: 1.01}, 123)
 	if len(res) != 1 || res[0].ID != 123 {
 		t.Fatalf("got %v, want id 123", res)
 	}
@@ -199,8 +227,8 @@ func TestSearchNeverReturnsDuplicates(t *testing.T) {
 	s := NewSearcher(80)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
-		res := s.Search(g, view, []float32{float32(rng.Intn(80))}, 10, nil,
-			SearchParams{MC: 16, Eps: 1.3}, RandomEntry(rng, 80))
+		res := search(s, g, view, []float32{float32(rng.Intn(80))}, 10, nil, 0, 0,
+			SearchParams{MC: 16, Eps: 1.3}, RandomEntry(rng, 80), RandomEntry(rng, 80))
 		seen := map[int32]bool{}
 		for _, r := range res {
 			if seen[r.ID] {
@@ -234,7 +262,7 @@ func BenchmarkSearchPathGraph(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkNeighbors = sr.Search(g, view, []float32{float32(rng.Intn(n))}, 10, nil,
+		sinkNeighbors = search(sr, g, view, []float32{float32(rng.Intn(n))}, 10, nil, 0, 0,
 			SearchParams{MC: 32, Eps: 1.1}, RandomEntry(rng, n))
 	}
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"math/rand"
 
-	"repro/internal/invariant"
 	"repro/internal/sq"
 	"repro/internal/theap"
 	"repro/internal/vec"
@@ -25,13 +24,21 @@ type SearchParams struct {
 // a fixed graph + view pair, reusing its internal buffers between queries.
 // A Searcher is NOT safe for concurrent use; create one per goroutine.
 type Searcher struct {
-	visited  []uint32 // epoch-stamped instead of cleared per walk
+	visited  []uint32 // epoch-stamped per walk instead of cleared
 	epoch    uint32
-	admitted []uint32 // epoch-stamped per query, dedups restarts' results
-	aEpoch   uint32
+	admitted []uint32    // qEpoch-stamped: the node entered this query's result heap
+	memo     []memoEntry // qEpoch-stamped distances: each node is scored once per query
+	qEpoch   uint32
+	evals    int // memo misses of the current query
 	frontier theap.MinQueue
-	entryBuf []int32  // reused entry-seed backing for the compat Search path
 	eval     distEval // the current query's candidate scorer (flat or compressed)
+}
+
+// memoEntry is one node's distance to the current query, valid while its
+// stamp equals the Searcher's query epoch.
+type memoEntry struct {
+	stamp uint32
+	dist  float32
 }
 
 // distEval scores walk candidates for one query. The flat form reads the
@@ -62,30 +69,20 @@ func (e *distEval) dist(q []float32, i int32) float32 {
 // NewSearcher returns a Searcher sized for graphs up to n nodes. It grows
 // on demand, so n is only a pre-allocation hint.
 func NewSearcher(n int) *Searcher {
-	return &Searcher{visited: make([]uint32, n), admitted: make([]uint32, n)}
+	return &Searcher{visited: make([]uint32, n), admitted: make([]uint32, n), memo: make([]memoEntry, n)}
 }
 
-// Filter restricts which nodes may enter the result set. For a TkNN query
-// it is the time-window test t_s <= t < t_e on the node's timestamp; nodes
-// failing the filter are still traversed (they guide the walk), they just
-// never become results — exactly the SF modification in §3.2.2.
-type Filter func(local int32) bool
-
-// timeFilter is the walk's admission test in data form. The hot path
-// (SearchInto) describes the time window as (times, ts, te) so that no
-// closure needs to be built per query; the compat Search path wraps its
-// Filter func in the fn field. A nil times with a nil fn admits everything.
+// timeFilter is the walk's admission test: the time window [ts, te) over
+// the local-indexed timestamps. A nil times admits every node. Nodes
+// failing it are still traversed (they guide the walk), they just never
+// become results — exactly the SF modification in §3.2.2.
 type timeFilter struct {
 	times  []int64 // local-indexed: times[i] belongs to view node i
 	ts, te int64
-	fn     Filter
 }
 
 // ok reports whether the node at local index i may enter the result set.
 func (f *timeFilter) ok(i int32) bool {
-	if f.fn != nil {
-		return f.fn(i)
-	}
 	if f.times == nil {
 		return true
 	}
@@ -93,65 +90,40 @@ func (f *timeFilter) ok(i int32) bool {
 	return t >= f.ts && t < f.te
 }
 
-// Search runs Algorithm 2: a best-first walk of g starting from entry,
-// collecting into a size-k result heap only nodes accepted by filter.
-// Results are returned in ascending distance order with local node ids.
+// SearchInto runs Algorithm 2 over g and view: best-first walks from each
+// entry seed, collecting into the caller-owned result heap (reset here to
+// the query's k) only nodes whose timestamp lands in [ts, te) — times is
+// local-indexed, nil admits every node. Retained neighbors are left in
+// result, unsorted, with local ids; callers drain with result.Items(). It
+// is a no-op on an empty graph, an empty entry list, or k <= 0.
 //
-// entry should be a uniformly random node of the view (line 1 of the
-// algorithm); callers pass it in so that query-level determinism is under
-// their control.
-//
-// Additional entries run as independent restarts: each gets its own
-// best-first walk (own frontier, own visited set) so the walks' basins
+// entries[0] is the primary walk — a uniformly random node of the view is
+// line 1 of the algorithm; callers draw it so that query-level determinism
+// is under their control. Further entries run as restarts: each gets its
+// own best-first walk (own frontier, own visited set) so the walks' basins
 // union — a single unlucky entry can get absorbed into a local attractor
 // the M_C cap and ε-bound will not let it escape, and with independent
 // walks a miss requires every seed to be unlucky at once (miss rates
-// multiply). The restarts share one result heap, so once an early walk
-// has found good neighbors, later walks inherit the tight ε-bound and
-// collapse after a handful of expansions; a restart only pays full price
-// when the walks before it got trapped, which is exactly when it is
-// needed.
-func (s *Searcher) Search(g *CSR, view vec.View, q []float32, k int, filter Filter, p SearchParams, entry int32, more ...int32) []theap.Neighbor {
-	n := g.NumNodes()
-	if n == 0 || k <= 0 {
-		return nil
-	}
-	result := theap.NewTopK(k)
-	f := timeFilter{fn: filter}
-	s.entryBuf = append(s.entryBuf[:0], entry)
-	s.entryBuf = append(s.entryBuf, more...)
-	s.searchInto(result, g, view, q, &f, p, s.entryBuf)
-
-	out := result.Items()
-	if invariant.Enabled {
-		for i, nb := range out {
-			invariant.Checkf(nb.ID >= 0 && int(nb.ID) < n,
-				"graph: Search result %d has id %d outside [0,%d)", i, nb.ID, n)
-			invariant.Checkf(filter == nil || filter(nb.ID),
-				"graph: Search result %d (id %d) fails the time filter", i, nb.ID)
-			invariant.Checkf(i == 0 || !theap.Less(out[i], out[i-1]),
-				"graph: Search results not ascending at %d", i)
-		}
-	}
-	return out
-}
-
-// SearchInto is the allocation-free form of Search: the result heap is
-// caller-owned (reset here to the query's k), the time window arrives as
-// data instead of a closure — times is local-indexed, nil admits every node
-// — and the entry seeds arrive as a slice (entries[0] is the primary walk,
-// the rest are restarts). Retained neighbors are left in result, unsorted;
-// callers drain with result.Items(). It is a no-op on an empty graph, an
-// empty entry list, or k <= 0.
+// multiply). The restarts share one result heap and so inherit the tight
+// ε-bound of the walks before them, but they do not collapse: on the
+// benchmark's data a serve-long-shaped query's walks (four per graph
+// block) step onto nodes 4 518 times but reach only 1 373 distinct ones,
+// each restart re-treading much of the basin the first walk covered. The
+// per-query distance memo makes that re-treading cheap — a node's distance
+// is computed once per query and looked up on every later visit — so what
+// a restart costs beyond its frontier bookkeeping is the nodes no earlier
+// walk reached.
 //
 //tknn:hotpath
 func (s *Searcher) SearchInto(result *theap.TopK, g *CSR, view vec.View, q []float32, times []int64, ts, te int64, p SearchParams, entries []int32, k int) {
+	s.evals = 0
 	if g.NumNodes() == 0 || len(entries) == 0 || k <= 0 {
 		return
 	}
 	result.ResetK(k)
 	f := timeFilter{times: times, ts: ts, te: te}
-	s.searchInto(result, g, view, q, &f, p, entries)
+	s.eval = distEval{view: view, qsq: vec.SquaredNorm(q), metric: view.Metric}
+	s.run(result, g, q, &f, p, view.Metric, entries)
 }
 
 // SearchCodesInto is SearchInto over a compressed block: candidates are
@@ -163,6 +135,7 @@ func (s *Searcher) SearchInto(result *theap.TopK, g *CSR, view vec.View, q []flo
 //
 //tknn:hotpath
 func (s *Searcher) SearchCodesInto(result *theap.TopK, g *CSR, codes *sq.Codes, q []float32, metric vec.Metric, qNorm float32, times []int64, ts, te int64, p SearchParams, entries []int32, k int) {
+	s.evals = 0
 	if g.NumNodes() == 0 || len(entries) == 0 || k <= 0 {
 		return
 	}
@@ -172,12 +145,10 @@ func (s *Searcher) SearchCodesInto(result *theap.TopK, g *CSR, codes *sq.Codes, 
 	s.run(result, g, q, &f, p, metric, entries)
 }
 
-// searchInto runs the query's walks against a prepared filter: the shared
-// core of Search and SearchInto.
-func (s *Searcher) searchInto(result *theap.TopK, g *CSR, view vec.View, q []float32, f *timeFilter, p SearchParams, entries []int32) {
-	s.eval = distEval{view: view, qsq: vec.SquaredNorm(q), metric: view.Metric}
-	s.run(result, g, q, f, p, view.Metric, entries)
-}
+// DistEvals reports how many distance evaluations the last SearchInto or
+// SearchCodesInto made: one per distinct node its walks reached, since the
+// memo answers every later visit.
+func (s *Searcher) DistEvals() int { return s.evals }
 
 // run executes the query's walks with the prepared scorer (s.eval).
 func (s *Searcher) run(result *theap.TopK, g *CSR, q []float32, f *timeFilter, p SearchParams, metric vec.Metric, entries []int32) {
@@ -196,6 +167,20 @@ func (s *Searcher) run(result *theap.TopK, g *CSR, q []float32, f *timeFilter, p
 	}
 }
 
+// score returns local node i's distance to the query, evaluating it only
+// on the query's first visit to i. A distance is a pure function of (query,
+// node), so the memo cannot change what any walk sees.
+func (s *Searcher) score(q []float32, i int32) float32 {
+	m := &s.memo[i]
+	if m.stamp == s.qEpoch {
+		return m.dist
+	}
+	d := s.eval.dist(q, i)
+	*m = memoEntry{stamp: s.qEpoch, dist: d}
+	s.evals++
+	return d
+}
+
 // walk is one best-first traversal (Algorithm 2) from entry, admitting
 // into the shared result heap. Each walk gets a fresh visited epoch so it
 // can traverse nodes earlier walks saw; admitted stamps persist across the
@@ -210,9 +195,12 @@ func (s *Searcher) run(result *theap.TopK, g *CSR, q []float32, f *timeFilter, p
 // Algorithm 2 verbatim.
 func (s *Searcher) walk(g *CSR, q []float32, filter *timeFilter, p SearchParams, eps float32, entry int32, result *theap.TopK, restart bool) {
 	s.beginEpoch(g.NumNodes())
-	s.frontier.Reset()
+	// Lines 16-17 — retain only the M_C nearest candidates — happen inside
+	// the frontier's Push: nothing pops between the pushes of one
+	// expansion, so evicting at push time keeps the same M_C.
+	s.frontier.Reset(p.MC)
 	s.markSeen(entry)
-	s.frontier.Push(theap.Neighbor{ID: entry, Dist: s.eval.dist(q, entry)})
+	s.frontier.Push(theap.Neighbor{ID: entry, Dist: s.score(q, entry)})
 
 	// The loop runs until the candidate set is exhausted (line 5): unlike
 	// many best-first searches there is no early break on the frontier
@@ -236,7 +224,7 @@ func (s *Searcher) walk(g *CSR, q []float32, filter *timeFilter, p SearchParams,
 				continue
 			}
 			s.markSeen(nb)
-			d := s.eval.dist(q, nb)
+			d := s.score(q, nb)
 			if bounded && d >= bound && !(restart && d < cur.Dist) {
 				continue
 			}
@@ -246,14 +234,9 @@ func (s *Searcher) walk(g *CSR, q []float32, filter *timeFilter, p SearchParams,
 		// Lines 12-15: admit the visited node into R if it passes the
 		// time filter and no earlier walk already admitted it (a node's
 		// distance is fixed, so re-admission could only duplicate).
-		if filter.ok(cur.ID) && s.admitted[cur.ID] != s.aEpoch {
-			s.admitted[cur.ID] = s.aEpoch
+		if filter.ok(cur.ID) && s.admitted[cur.ID] != s.qEpoch {
+			s.admitted[cur.ID] = s.qEpoch
 			result.Push(cur)
-		}
-
-		// Lines 16-17: cap the candidate set at M_C nearest.
-		if p.MC > 0 && s.frontier.Len() > p.MC {
-			s.frontier.TrimTo(p.MC)
 		}
 	}
 }
@@ -263,20 +246,22 @@ func RandomEntry(rng *rand.Rand, n int) int32 {
 	return int32(rng.Intn(n))
 }
 
-// beginQuery starts a new admitted epoch (one per Search call).
+// beginQuery starts a new query epoch (one per SearchInto call): it
+// invalidates the admitted stamps and the distance memo at once.
 func (s *Searcher) beginQuery(n int) {
-	if len(s.admitted) < n {
+	if len(s.memo) < n {
+		// Fresh arrays hold no stamps, so the epochs restart with them.
 		//lint:ignore hotpath-alloc cold-start growth; the admitted array is retained for every later query
-		grown := make([]uint32, n)
-		copy(grown, s.admitted)
-		s.admitted = grown
+		s.admitted = make([]uint32, n)
+		//lint:ignore hotpath-alloc cold-start growth; the memo is retained for every later query
+		s.memo = make([]memoEntry, n)
+		s.qEpoch = 0
 	}
-	s.aEpoch++
-	if s.aEpoch == 0 { // wrapped: clear and restart
-		for i := range s.admitted {
-			s.admitted[i] = 0
-		}
-		s.aEpoch = 1
+	s.qEpoch++
+	if s.qEpoch == 0 { // wrapped: clear and restart
+		clear(s.admitted)
+		clear(s.memo)
+		s.qEpoch = 1
 	}
 }
 

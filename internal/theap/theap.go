@@ -5,8 +5,8 @@
 //     pairs seen so far. It backs the brute-force scan of BSBF
 //     (Algorithm 1), the result set R of the graph search (Algorithm 2),
 //     and the cross-block merge of MBI queries (Algorithm 4 line 9).
-//   - MinQueue, an unbounded min-heap used as the candidate frontier C of
-//     the graph search.
+//   - MinQueue, the candidate frontier C of the graph search: a sorted
+//     window capped at the M_C nearest candidates.
 //
 // Both are hand-specialized for Neighbor values instead of going through
 // container/heap: the interface indirection costs ~2x on these hot paths.
@@ -168,32 +168,65 @@ func (t *TopK) siftDown(i int) {
 	}
 }
 
-// MinQueue is a min-heap of neighbors ordered by ascending distance.
-// The zero value is ready to use.
+// MinQueue is the candidate frontier C of the graph search: a window of
+// neighbors kept sorted ascending by (Dist, ID) and, when a limit is set,
+// capped at the limit nearest — lines 16-17 of Algorithm 2 done at push
+// time. Pop advances an index; a push into a full window that does not
+// beat its farthest member is rejected with one comparison, any other is
+// inserted in order (evicting the farthest when full). The walk never pops
+// between the pushes of one expansion, so evicting at push time keeps
+// exactly the M_C nearest that sorting and cutting after the expansion
+// would. An unbounded queue pays O(Len) per push; the walk always sets
+// M_C. The zero value is an empty, unbounded queue.
 type MinQueue struct {
-	heap []Neighbor
+	buf   []Neighbor // buf[head:] is the window, ascending by (Dist, ID)
+	head  int
+	limit int // maximum window size; 0 is unbounded
 }
 
 // Len returns the number of queued neighbors.
-func (q *MinQueue) Len() int { return len(q.heap) }
+func (q *MinQueue) Len() int { return len(q.buf) - q.head }
 
-// Push enqueues n. NaN distances are dropped for the same reason TopK
-// rejects them: they have no place in the ordering.
+// Reset empties the queue, retaining its backing storage, and caps it at
+// the limit nearest neighbors; limit <= 0 leaves it unbounded.
+func (q *MinQueue) Reset(limit int) {
+	q.buf = q.buf[:0]
+	q.head = 0
+	q.limit = max(limit, 0)
+}
+
+// Push enqueues n unless the queue is full and n does not beat its
+// farthest member under Less, in which case n is dropped; a full queue
+// that admits n evicts its farthest. NaN distances are dropped for the
+// same reason TopK rejects them: they have no place in the ordering.
 func (q *MinQueue) Push(n Neighbor) {
 	if n.Dist != n.Dist {
 		return
 	}
-	q.heap = append(q.heap, n)
-	h := q.heap
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !Less(h[i], h[p]) {
-			break
+	if q.limit > 0 && len(q.buf)-q.head >= q.limit {
+		if !Less(n, q.buf[len(q.buf)-1]) {
+			return
 		}
-		h[p], h[i] = h[i], h[p]
-		i = p
+		q.buf = q.buf[:len(q.buf)-1]
 	}
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		// Reuse the popped prefix instead of growing.
+		m := copy(q.buf, q.buf[q.head:])
+		q.buf = q.buf[:m]
+		q.head = 0
+	}
+	lo, hi := q.head, len(q.buf)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if Less(q.buf[mid], n) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	q.buf = append(q.buf, Neighbor{})
+	copy(q.buf[lo+1:], q.buf[lo:len(q.buf)-1])
+	q.buf[lo] = n
 	if invariant.Enabled {
 		invariant.NoError(q.Validate(), "theap: MinQueue after Push")
 	}
@@ -202,54 +235,13 @@ func (q *MinQueue) Push(n Neighbor) {
 // Pop removes and returns the nearest queued neighbor.
 // It must only be called when Len() > 0.
 func (q *MinQueue) Pop() Neighbor {
-	h := q.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	q.heap = h[:n]
-	q.siftDown(0)
-	if invariant.Enabled {
-		invariant.NoError(q.Validate(), "theap: MinQueue after Pop")
+	top := q.buf[q.head]
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
 	}
 	return top
-}
-
-// Min returns the nearest queued neighbor without removing it.
-// It must only be called when Len() > 0.
-func (q *MinQueue) Min() Neighbor { return q.heap[0] }
-
-// Reset empties the queue, retaining its backing storage.
-func (q *MinQueue) Reset() { q.heap = q.heap[:0] }
-
-// TrimTo retains only the m nearest queued neighbors, discarding the rest.
-// This implements line 17 of Algorithm 2 ("update C to retain M_C nearest").
-func (q *MinQueue) TrimTo(m int) {
-	if len(q.heap) <= m {
-		return
-	}
-	sortNeighbors(q.heap)
-	q.heap = q.heap[:m]
-	// A sorted prefix is already a valid min-heap.
-}
-
-func (q *MinQueue) siftDown(i int) {
-	h := q.heap
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		small := l
-		if r := l + 1; r < n && Less(h[r], h[l]) {
-			small = r
-		}
-		if !Less(h[small], h[i]) {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
 }
 
 // sortNeighbors sorts by ascending (Dist, ID) with insertion sort for short

@@ -1,6 +1,7 @@
 package theap
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -170,50 +171,129 @@ func TestMinQueueOrdering(t *testing.T) {
 		if q.Len() != len(items) {
 			t.Fatalf("len %d, want %d", q.Len(), len(items))
 		}
-		prev := Neighbor{Dist: -1e30}
-		for q.Len() > 0 {
-			if m := q.Min(); m != q.Pop() {
-				t.Fatal("Min disagrees with Pop")
-			} else {
-				if Less(m, prev) {
-					t.Fatalf("pop order violated: %v after %v", m, prev)
-				}
-				prev = m
+		for i, want := range reference(items, len(items)) {
+			if got := q.Pop(); got != want {
+				t.Fatalf("pop %d = %v, want %v", i, got, want)
 			}
 		}
 	}
 }
 
-func TestMinQueueTrimTo(t *testing.T) {
+// TestMinQueueLimitKeepsNearest: pushing into a queue capped at m keeps
+// exactly the m nearest, as sorting everything and cutting to m would.
+func TestMinQueueLimitKeepsNearest(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 100; trial++ {
 		items := randNeighbors(rng, rng.Intn(100)+10)
 		m := 1 + rng.Intn(len(items))
 		var q MinQueue
+		q.Reset(m)
 		for _, it := range items {
 			q.Push(it)
 		}
-		q.TrimTo(m)
 		if q.Len() != m {
-			t.Fatalf("after TrimTo(%d) len = %d", m, q.Len())
+			t.Fatalf("limit %d: len = %d", m, q.Len())
 		}
 		want := reference(items, m)
 		for i := 0; q.Len() > 0; i++ {
-			got := q.Pop()
-			if got != want[i] {
-				t.Fatalf("trim kept %v at %d, want %v", got, i, want[i])
+			if got := q.Pop(); got != want[i] {
+				t.Fatalf("limit kept %v at %d, want %v", got, i, want[i])
 			}
 		}
 	}
 }
 
-func TestMinQueueTrimToNoop(t *testing.T) {
+// TestMinQueueLimitAboveLen: a limit the pushes never reach drops nothing.
+func TestMinQueueLimitAboveLen(t *testing.T) {
 	var q MinQueue
+	q.Reset(5)
 	q.Push(Neighbor{ID: 1, Dist: 1})
-	q.TrimTo(5)
 	if q.Len() != 1 {
-		t.Errorf("TrimTo larger than len should be a no-op, len = %d", q.Len())
+		t.Errorf("a limit above the pushed count dropped a neighbor, len = %d", q.Len())
 	}
+}
+
+// queueModel is the bounded queue's specification: append, sort by Less,
+// cut to the limit (0 is unbounded); NaN is never admitted.
+type queueModel struct {
+	items []Neighbor
+	limit int
+}
+
+func (m *queueModel) push(n Neighbor) {
+	if n.Dist != n.Dist {
+		return
+	}
+	m.items = append(m.items, n)
+	sort.Slice(m.items, func(i, j int) bool { return Less(m.items[i], m.items[j]) })
+	if m.limit > 0 && len(m.items) > m.limit {
+		m.items = m.items[:m.limit]
+	}
+}
+
+func (m *queueModel) pop() Neighbor {
+	n := m.items[0]
+	m.items = m.items[1:]
+	return n
+}
+
+// checkQueueOps replays ops against a MinQueue and the sort model: each
+// byte either pops (when its low bits say so and the queue is non-empty)
+// or pushes a neighbor drawn from a small id and distance alphabet, so
+// ties on distance, equal pairs and NaN all occur.
+func checkQueueOps(t *testing.T, limit int, ops []byte) {
+	t.Helper()
+	var q MinQueue
+	q.Reset(limit)
+	model := queueModel{limit: max(limit, 0)}
+	dists := []float32{0, 1, 1, 2, 3, float32(math.NaN()), float32(math.Inf(1)), -1}
+	for i, op := range ops {
+		if op%4 == 0 && q.Len() > 0 {
+			if got, want := q.Pop(), model.pop(); got != want {
+				t.Fatalf("limit %d op %d: Pop = %v, model %v", limit, i, got, want)
+			}
+		} else {
+			n := Neighbor{ID: int32(op>>5) % 6, Dist: dists[(op>>2)%8]}
+			q.Push(n)
+			model.push(n)
+		}
+		if q.Len() != len(model.items) {
+			t.Fatalf("limit %d op %d: Len = %d, model %d", limit, i, q.Len(), len(model.items))
+		}
+		if err := q.Validate(); err != nil {
+			t.Fatalf("limit %d op %d: %v", limit, i, err)
+		}
+	}
+	for q.Len() > 0 {
+		if got, want := q.Pop(), model.pop(); got != want {
+			t.Fatalf("limit %d drain: Pop = %v, model %v", limit, got, want)
+		}
+	}
+}
+
+// TestMinQueueMatchesSortModel: interleaved Push and Pop at limits 0
+// (unbounded), 1, 2, 5 and 48 agree with the sort model on every Pop and
+// every Len, through ties, NaN and Reset reuse.
+func TestMinQueueMatchesSortModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, limit := range []int{0, 1, 2, 5, 48} {
+		for trial := 0; trial < 50; trial++ {
+			ops := make([]byte, rng.Intn(300))
+			rng.Read(ops)
+			checkQueueOps(t, limit, ops)
+		}
+	}
+}
+
+// FuzzMinQueueMatchesSortModel is TestMinQueueMatchesSortModel over
+// arbitrary operation sequences and limits.
+func FuzzMinQueueMatchesSortModel(f *testing.F) {
+	f.Add(uint8(0), []byte{1, 2, 3, 0, 5, 0, 0})
+	f.Add(uint8(1), []byte{9, 17, 33, 0, 65, 129, 0, 4})
+	f.Add(uint8(48), []byte{255, 254, 253, 0, 0, 252})
+	f.Fuzz(func(t *testing.T, limit uint8, ops []byte) {
+		checkQueueOps(t, int(limit%64), ops)
+	})
 }
 
 func TestMergeDedupsAndRanks(t *testing.T) {

@@ -29,18 +29,20 @@ func (t *TopK) Validate() error {
 	return nil
 }
 
-// Validate checks the min-heap ordering of the frontier queue.
+// Validate checks the frontier window: no NaN, ascending by (Dist, ID),
+// and no larger than the queue's limit.
 func (q *MinQueue) Validate() error {
-	for i, n := range q.heap {
+	w := q.buf[q.head:]
+	if q.limit > 0 && len(w) > q.limit {
+		return fmt.Errorf("theap: MinQueue holds %d neighbors, limit is %d", len(w), q.limit)
+	}
+	for i, n := range w {
 		if n.Dist != n.Dist {
 			return fmt.Errorf("theap: MinQueue slot %d holds NaN distance (id %d)", i, n.ID)
 		}
-	}
-	for i := 1; i < len(q.heap); i++ {
-		p := (i - 1) / 2
-		if Less(q.heap[i], q.heap[p]) {
-			return fmt.Errorf("theap: MinQueue min-heap violated: child %d (id %d, dist %v) < parent %d (id %d, dist %v)",
-				i, q.heap[i].ID, q.heap[i].Dist, p, q.heap[p].ID, q.heap[p].Dist)
+		if i > 0 && Less(n, w[i-1]) {
+			return fmt.Errorf("theap: MinQueue not ascending at %d: (id %d, dist %v) after (id %d, dist %v)",
+				i, n.ID, n.Dist, w[i-1].ID, w[i-1].Dist)
 		}
 	}
 	return nil
