@@ -109,11 +109,12 @@ oneproc:
 # corpora): the /search and /vectors handlers must answer 200, 400 or 413
 # and count what they acknowledge, the wire decoders must match
 # json.Unmarshal, the graph walk must return exactly its reference walk's
-# answer, and the bounded frontier queue must match its sort model. Each
+# answer, the bounded frontier queue must match its sort model, and the
+# checking graph decoder must accept exactly what CSR.Validate accepts. Each
 # entry is package:target; Go fuzzes one target per run.
 FUZZ_SMOKE = ./internal/server:FuzzSearchBody ./internal/server:FuzzVectorsBody \
 	./internal/server:FuzzWireMatchesEncodingJSON ./internal/graph:FuzzWalkMatchesReference \
-	./internal/theap:FuzzMinQueueMatchesSortModel
+	./internal/theap:FuzzMinQueueMatchesSortModel ./internal/persist:FuzzReadGraphMatchesValidate
 
 fuzz-smoke:
 	@for e in $(FUZZ_SMOKE); do \

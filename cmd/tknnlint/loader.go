@@ -88,18 +88,28 @@ type parsedPkg struct {
 	imports []string // module-internal import paths only
 }
 
+// fset and stdImporter are shared by every LoadModule in the process:
+// the source importer caches each standard-library package it has type
+// checked, so a second load (the tests load many corpora) reuses them
+// instead of re-checking the standard library from source. Neither is
+// safe for concurrent use, so loads must not run concurrently.
+var (
+	fset        = token.NewFileSet()
+	stdImporter = importer.ForCompiler(fset, "source", nil)
+)
+
 // LoadModule parses and type-checks every non-test package under root.
 // Directories named testdata, hidden directories, and _-prefixed
 // directories are skipped, mirroring cmd/go. Test files (_test.go) are
 // excluded: the lint rules guard library and command code, and the
 // repository's tests intentionally use patterns (float64 reference math,
-// ad-hoc RNGs) the rules forbid elsewhere.
+// ad-hoc RNGs) the rules forbid elsewhere. It must not run concurrently
+// with another LoadModule (see fset).
 func LoadModule(root string) (*Module, error) {
 	root, modPath, err := FindModuleRoot(root)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
 
 	byPath := map[string]*parsedPkg{}
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, werr error) error {
@@ -136,7 +146,7 @@ func LoadModule(root string) (*Module, error) {
 
 	mod := &Module{Root: root, Path: modPath, Fset: fset}
 	imp := &moduleImporter{
-		std:  importer.ForCompiler(fset, "source", nil),
+		std:  stdImporter,
 		pkgs: map[string]*types.Package{},
 	}
 	var typeErrs []string

@@ -14,8 +14,9 @@
 //     overshoot drains as pins are released.
 //   - Singleflight. Concurrent Gets for the same key share one loader
 //     call; followers block until the leader's load resolves and then
-//     pin the shared payload. A failed load is not cached — the next
-//     Get retries.
+//     pin the shared payload (a follower that wakes to find it already
+//     evicted claims again, counting a second lookup). A failed load is
+//     not cached — the next Get retries.
 //   - Bounded bytes, not entries. Eviction walks from the LRU tail,
 //     skipping pinned entries, until resident bytes fit the budget.
 //
@@ -58,14 +59,17 @@ func (v Value) Bytes() int64 {
 // query's deadline.
 type LoadFunc func(ctx context.Context, key uint64) (Value, error)
 
-// Stats is a snapshot of the cache counters. Hits/Misses/Evictions are
-// cumulative; Bytes/Entries describe the current resident set.
+// Stats is a snapshot of the cache counters. Hits/Misses/Evictions and
+// LoadedBytes (the Value.Bytes of every successful load, the work the
+// misses cost) are cumulative; Bytes/Entries describe the current
+// resident set.
 type Stats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Bytes     int64
-	Entries   int
+	Hits        uint64
+	Misses      uint64
+	Evictions   uint64
+	LoadedBytes uint64
+	Bytes       int64
+	Entries     int
 }
 
 // entry is one cache slot. While a load is in flight, done is non-nil
@@ -106,6 +110,8 @@ type Cache struct {
 	misses uint64
 	//tknn:guardedBy(mu)
 	evictions uint64
+	//tknn:guardedBy(mu)
+	loadedBytes uint64
 }
 
 // New builds a cache bounded to maxBytes of resident payload bytes.
@@ -126,14 +132,22 @@ func (c *Cache) Get(ctx context.Context, key uint64) (Value, error) {
 	if hit {
 		return v, nil
 	}
-	if !leader {
+	for !leader {
 		// Load in flight: wait for the leader, then pin its result.
 		select {
 		case <-done:
 		case <-ctx.Done():
 			return Value{}, ctx.Err()
 		}
-		return c.adopt(key, e)
+		if v, pinned, err := c.adopt(key, e); pinned || err != nil {
+			return v, err
+		}
+		// The leader's entry was evicted before this follower woke and
+		// nothing resident replaced it: claim again, so the caller's
+		// Unpin always releases a pin it holds.
+		if v, e, done, leader, hit = c.claim(key); hit {
+			return v, nil
+		}
 	}
 	val, err := c.doLoad(ctx, key)
 	return c.install(e, val, err)
@@ -164,21 +178,24 @@ func (c *Cache) claim(key uint64) (v Value, e *entry, done chan struct{}, leader
 	return Value{}, e, e.done, true, false
 }
 
-// adopt pins the leader's resolved entry for a follower that finished
-// waiting. If the entry was evicted between the leader finishing and
-// the follower waking, the payload is still valid (payloads are
-// immutable) and the caller's Unpin will be a no-op.
-func (c *Cache) adopt(key uint64, e *entry) (Value, error) {
+// adopt pins the resident payload for key for a follower that finished
+// waiting on e: e itself, or — if e was evicted between the leader
+// finishing and the follower waking — the entry a later load made
+// resident. With neither (pinned false, err nil) the caller must claim
+// again; it never gets a payload it would then Unpin without a pin.
+func (c *Cache) adopt(key uint64, e *entry) (v Value, pinned bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.err != nil {
-		return Value{}, e.err
+		return Value{}, false, e.err
 	}
-	if cur, ok := c.entries[key]; ok && cur == e {
-		e.pins++
-		c.moveFrontLocked(e)
+	cur := c.entries[key]
+	if cur == nil || cur.done != nil {
+		return Value{}, false, nil
 	}
-	return e.val, nil
+	cur.pins++
+	c.moveFrontLocked(cur)
+	return cur.val, true, nil
 }
 
 // install publishes the leader's load result: on success the entry goes
@@ -200,6 +217,7 @@ func (c *Cache) install(e *entry, val Value, err error) (Value, error) {
 	e.pins = 1
 	e.done = nil
 	c.bytes += e.bytes
+	c.loadedBytes += uint64(e.bytes)
 	c.pushFrontLocked(e)
 	c.evictLocked()
 	close(done)
@@ -257,11 +275,12 @@ func (c *Cache) Purge() {
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	s := Stats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Bytes:     c.bytes,
-		Entries:   len(c.entries),
+		Hits:        c.hits,
+		Misses:      c.misses,
+		Evictions:   c.evictions,
+		LoadedBytes: c.loadedBytes,
+		Bytes:       c.bytes,
+		Entries:     len(c.entries),
 	}
 	c.mu.Unlock()
 	return s

@@ -264,3 +264,72 @@ func TestStringer(t *testing.T) {
 	}
 	_ = fmt.Stringer(c)
 }
+
+// TestAdoptNeverHandsOutAnUnpinnedPayload: a follower whose leader's
+// entry was evicted before it woke must pin what is resident now (here,
+// a reload of the same key already pinned once by another query), so its
+// Unpin releases its own pin and leaves the other query's in place.
+func TestAdoptNeverHandsOutAnUnpinnedPayload(t *testing.T) {
+	c := New(0, nil) // adopt never loads
+	evicted := &entry{key: 1, val: Value{Graph: testGraph(8)}}
+	cur := &entry{key: 1, val: Value{Graph: testGraph(8)}, pins: 1}
+	c.mu.Lock()
+	c.entries[1] = cur
+	c.pushFrontLocked(cur)
+	c.mu.Unlock()
+
+	v, pinned, err := c.adopt(1, evicted)
+	if err != nil || !pinned || v.Graph != cur.val.Graph {
+		t.Fatalf("adopt = (%v, pinned %v, %v), want the current entry's payload pinned", v, pinned, err)
+	}
+	c.Unpin(1)
+	c.mu.Lock()
+	pins := cur.pins
+	c.mu.Unlock()
+	if pins != 1 {
+		t.Fatalf("current entry has %d pins after the follower's adopt+Unpin, want 1", pins)
+	}
+
+	// With nothing resident the follower gets no payload and claims again.
+	c.Unpin(1)
+	c.Purge()
+	if _, pinned, err := c.adopt(1, evicted); pinned || err != nil {
+		t.Fatalf("adopt with no resident entry: pinned %v, err %v; want a re-claim", pinned, err)
+	}
+}
+
+// TestLoadedBytesCountsEveryLoad: LoadedBytes is the payload bytes of
+// the successful loads, so it equals the sum of Value.Bytes over the
+// misses that loaded — and a failed load adds nothing.
+func TestLoadedBytesCountsEveryLoad(t *testing.T) {
+	fail := errors.New("disk gone")
+	c := New(Value{Graph: testGraph(8)}.Bytes(), func(_ context.Context, key uint64) (Value, error) {
+		if key == 99 {
+			return Value{}, fail
+		}
+		return Value{Graph: testGraph(int(key))}, nil
+	})
+	ctx := context.Background()
+	var want uint64
+	for _, k := range []uint64{8, 4, 8, 16, 99, 4, 4} {
+		before := c.Stats().Misses
+		v, err := c.Get(ctx, k)
+		if k == 99 {
+			if !errors.Is(err, fail) {
+				t.Fatalf("Get(99) = %v, want the loader's error", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Get(%d): %v", k, err)
+		}
+		if c.Stats().Misses > before {
+			want += uint64(v.Bytes())
+		}
+		c.Unpin(k)
+	}
+	s := c.Stats()
+	if s.LoadedBytes != want || s.Evictions == 0 {
+		t.Fatalf("LoadedBytes = %d, want %d (stats %+v)", s.LoadedBytes, want, s)
+	}
+}

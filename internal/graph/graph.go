@@ -55,39 +55,62 @@ func FromLists(lists [][]int32) *CSR {
 
 // Validate checks structural sanity: monotone offsets and in-range
 // neighbor ids with no self-loops. It is used by tests and by the
-// deserializer to reject corrupt input.
+// deserializer to reject corrupt input; the deserializer applies its two
+// halves, ValidateOffsets and CheckEdges, as the offsets and then the
+// edges come off disk, so this is still the one definition of a valid
+// graph.
 func (g *CSR) Validate() error {
+	if err := ValidateOffsets(g.Off, len(g.Adj)); err != nil {
+		return err
+	}
 	n := g.NumNodes()
-	if len(g.Off) == 0 {
-		if len(g.Adj) != 0 {
+	for i := 0; i < n; i++ {
+		if err := CheckEdges(i, g.Adj[g.Off[i]:g.Off[i+1]], n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ValidateOffsets checks off as the offset array of a graph with nEdges
+// edges: empty (then nEdges must be 0), or starting at 0, monotone, and
+// ending at nEdges. Every offset is bound-checked before any slicing,
+// since off may be deserialized garbage.
+func ValidateOffsets(off []int32, nEdges int) error {
+	if len(off) == 0 {
+		if nEdges != 0 {
 			return fmt.Errorf("graph: edges without offsets")
 		}
 		return nil
 	}
-	if g.Off[0] != 0 {
-		return fmt.Errorf("graph: first offset is %d, want 0", g.Off[0])
+	if off[0] != 0 {
+		return fmt.Errorf("graph: first offset is %d, want 0", off[0])
 	}
-	// Bound-check every offset before any slicing: Validate runs on
-	// deserialized input, where offsets can be arbitrary garbage.
+	n := len(off) - 1
 	for i := 0; i < n; i++ {
-		if g.Off[i+1] < g.Off[i] {
+		if off[i+1] < off[i] {
 			return fmt.Errorf("graph: offsets not monotone at node %d", i)
 		}
-		if int(g.Off[i+1]) > len(g.Adj) {
-			return fmt.Errorf("graph: offset %d exceeds %d edges", g.Off[i+1], len(g.Adj))
+		if int(off[i+1]) > nEdges {
+			return fmt.Errorf("graph: offset %d exceeds %d edges", off[i+1], nEdges)
 		}
 	}
-	if int(g.Off[n]) != len(g.Adj) {
-		return fmt.Errorf("graph: last offset %d != len(adj) %d", g.Off[n], len(g.Adj))
+	if int(off[n]) != nEdges {
+		return fmt.Errorf("graph: last offset %d != len(adj) %d", off[n], nEdges)
 	}
-	for i := 0; i < n; i++ {
-		for _, nb := range g.Adj[g.Off[i]:g.Off[i+1]] {
-			if nb < 0 || int(nb) >= n {
-				return fmt.Errorf("graph: node %d has out-of-range neighbor %d (n=%d)", i, nb, n)
-			}
-			if int(nb) == i {
-				return fmt.Errorf("graph: node %d has a self-loop", i)
-			}
+	return nil
+}
+
+// CheckEdges checks node i's out-neighbors nbs in an n-node graph: each
+// in range and not a self-loop. It takes a node's whole run, so the loop
+// calls nothing until it fails and its state stays in registers.
+func CheckEdges(i int, nbs []int32, n int) error {
+	for _, nb := range nbs {
+		if nb < 0 || int(nb) >= n {
+			return fmt.Errorf("graph: node %d has out-of-range neighbor %d (n=%d)", i, nb, n)
+		}
+		if int(nb) == i {
+			return fmt.Errorf("graph: node %d has a self-loop", i)
 		}
 	}
 	return nil

@@ -2,12 +2,15 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/wal"
 )
 
@@ -178,4 +181,76 @@ func TestLoadSFNeverPanics(t *testing.T) {
 			_, _ = LoadSF(bytes.NewReader(raw), nil)
 		}()
 	}
+}
+
+// FuzzReadGraphMatchesValidate is the decoder's differential check:
+// readGraph validates offsets and edges as they land, and it must accept
+// exactly the bytes that a check-free decode followed by CSR.Validate
+// accepts, returning the same graph, and never panic. The seeds are
+// encoded graphs, valid and not, including one whose edges span several
+// decode windows; the fuzzer mutates their bytes.
+//
+//	go test -run '^$' -fuzz FuzzReadGraphMatchesValidate ./internal/persist
+func FuzzReadGraphMatchesValidate(f *testing.F) {
+	// A valid graph of more than one window of edges, with empty nodes.
+	lists := make([][]int32, 300)
+	for i := range lists {
+		for j := 0; i%7 != 0 && j < 20; j++ {
+			lists[i] = append(lists[i], int32((i+1+j*13)%len(lists)))
+		}
+	}
+	for _, g := range []*graph.CSR{
+		{},                                       // no offsets at all
+		{Off: []int32{0}},                        // 0 nodes (an unbuilt SF graph)
+		{Off: []int32{0, 0}},                     // 1 node
+		{Off: []int32{0, 1}, Adj: []int32{0}},    // self-loop
+		{Off: []int32{0, 1, 1}, Adj: []int32{5}}, // out-of-range neighbour
+		{Off: []int32{0, 1, 2}, Adj: []int32{-1, 0}}, // negative neighbour
+		{Off: []int32{0, 2, 1}, Adj: []int32{1, 0}},  // non-monotone offsets
+		{Off: []int32{0, 1}, Adj: []int32{1, 0}},     // last offset != edge count
+		{Off: []int32{1, 2}, Adj: []int32{0, 1}},     // first offset != 0
+		{Adj: []int32{0}},                            // edges without offsets
+		graph.FromLists([][]int32{{1, 2}, {0}, {}}),  // small and valid
+		graph.FromLists(lists),
+	} {
+		var b bytes.Buffer
+		if err := writeGraph(&b, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		got, err := readGraph(newDecoder(bytes.NewReader(raw)))
+		want, werr := decodeGraphUnchecked(raw)
+		if werr == nil {
+			werr = want.Validate()
+		}
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("readGraph error %v, check-free decode + Validate error %v", err, werr)
+		}
+		if err == nil && (!slices.Equal(got.Off, want.Off) || !slices.Equal(got.Adj, want.Adj)) {
+			t.Fatalf("readGraph decoded %v / %v, reference %v / %v", got.Off, got.Adj, want.Off, want.Adj)
+		}
+	})
+}
+
+// decodeGraphUnchecked is the reference decode for the fuzzer: the
+// writeGraph layout read back with no structural check at all.
+func decodeGraphUnchecked(raw []byte) (*graph.CSR, error) {
+	if len(raw) < 16 {
+		return nil, io.ErrUnexpectedEOF
+	}
+	nOff, nAdj := binary.LittleEndian.Uint64(raw), binary.LittleEndian.Uint64(raw[8:])
+	raw = raw[16:]
+	if nOff > uint64(len(raw))/4 || nAdj > uint64(len(raw))/4 || 4*(nOff+nAdj) > uint64(len(raw)) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	g := &graph.CSR{Off: make([]int32, nOff), Adj: make([]int32, nAdj)}
+	if err := binary.Read(bytes.NewReader(raw), binary.LittleEndian, g.Off); err != nil {
+		return nil, err
+	}
+	if err := binary.Read(bytes.NewReader(raw[4*nOff:]), binary.LittleEndian, g.Adj); err != nil {
+		return nil, err
+	}
+	return g, nil
 }

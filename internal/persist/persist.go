@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -79,15 +81,23 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// crcReader hashes exactly the bytes the parser consumes. It must sit
-// ON TOP of the bufio reader, not under it: bufio reads ahead, and
-// read-ahead bytes (including the footer itself) must not enter the sum.
-type crcReader struct {
-	r   io.Reader
+// decoder is the one reader every snapshot and segment load goes
+// through. It hashes exactly the bytes the parser consumes with CRC32C,
+// so it must sit ON TOP of the bufio reader, not under it: bufio reads
+// ahead, and read-ahead bytes (including the footer itself) must not
+// enter the sum. Payload arrays stream through its fixed window (see
+// readSlice).
+type decoder struct {
+	br  *bufio.Reader
 	sum uint32
+	win [window]byte
 }
 
-func (c *crcReader) Read(p []byte) (int, error) {
+func newDecoder(r io.Reader) *decoder {
+	return &decoder{br: bufio.NewReader(r)}
+}
+
+func (d *decoder) Read(p []byte) (int, error) {
 	if fault.Enabled {
 		// Injection point persist.read: a failed read while restoring a
 		// snapshot — the WAL manager must fall back to an older
@@ -96,8 +106,8 @@ func (c *crcReader) Read(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	n, err := c.r.Read(p)
-	c.sum = crc32.Update(c.sum, castagnoli, p[:n])
+	n, err := d.br.Read(p)
+	d.sum = crc32.Update(d.sum, castagnoli, p[:n])
 	return n, err
 }
 
@@ -192,9 +202,8 @@ func SaveMBI(w io.Writer, ix *core.Index) error {
 // does not carry (builder, τ, search defaults, workers, seed); its Dim,
 // Metric, and LeafSize must match the file.
 func LoadMBI(r io.Reader, opts core.Options) (*core.Index, error) {
-	br := bufio.NewReader(r)
-	cr := &crcReader{r: br}
-	ver, metric, dim, n, err := readHeader(cr, kindMBI)
+	d := newDecoder(r)
+	ver, metric, dim, n, err := readHeader(d, kindMBI)
 	if err != nil {
 		return nil, err
 	}
@@ -204,12 +213,12 @@ func LoadMBI(r io.Reader, opts core.Options) (*core.Index, error) {
 	if opts.Metric != metric {
 		return nil, fmt.Errorf("persist: file has metric %v, options say %v", metric, opts.Metric)
 	}
-	store, times, err := readData(cr, dim, n)
+	store, times, err := readData(d, dim, n)
 	if err != nil {
 		return nil, err
 	}
 	var leafSize, openLo, numBlocks, numForest uint64
-	if err := readInts(cr, &leafSize, &openLo, &numBlocks, &numForest); err != nil {
+	if err := readInts(d, &leafSize, &openLo, &numBlocks, &numForest); err != nil {
 		return nil, err
 	}
 	if opts.LeafSize != int(leafSize) {
@@ -219,24 +228,24 @@ func LoadMBI(r io.Reader, opts core.Options) (*core.Index, error) {
 		return nil, fmt.Errorf("persist: implausible block counts (%d blocks, %d roots, %d vectors)", numBlocks, numForest, n)
 	}
 	// Grown by append rather than count-sized make: the counts are
-	// untrusted (see readFloat32Slice).
-	forest := make([]int, 0, minInt(int(numForest), readChunk))
+	// untrusted (see readSlice).
+	forest := make([]int, 0, min(int(numForest), readChunk))
 	for i := uint64(0); i < numForest; i++ {
 		var v uint64
-		if err := readInts(cr, &v); err != nil {
+		if err := readInts(d, &v); err != nil {
 			return nil, err
 		}
 		forest = append(forest, int(v))
 	}
-	blocks := make([]core.Block, 0, minInt(int(numBlocks), readChunk))
+	blocks := make([]core.Block, 0, min(int(numBlocks), readChunk))
 	for i := uint64(0); i < numBlocks; i++ {
 		var lo, hi, height uint64
-		if err := readInts(cr, &lo, &hi, &height); err != nil {
+		if err := readInts(d, &lo, &hi, &height); err != nil {
 			return nil, err
 		}
 		loc := locInline
 		if ver >= minSpillVersion {
-			if err := binaryRead(cr, &loc); err != nil {
+			if err := binaryRead(d, &loc); err != nil {
 				return nil, err
 			}
 		}
@@ -244,19 +253,19 @@ func LoadMBI(r io.Reader, opts core.Options) (*core.Index, error) {
 		switch loc {
 		case locSpilled:
 			var segBytes uint64
-			if err := readInts(cr, &segBytes); err != nil {
+			if err := readInts(d, &segBytes); err != nil {
 				return nil, err
 			}
 			b.Spilled = true
 			b.SegBytes = int64(segBytes)
 		case locInline:
-			g, err := readGraph(cr)
+			g, err := readGraph(d)
 			if err != nil {
 				return nil, err
 			}
 			b.Graph = g
 			if ver >= minCodeVersion {
-				if b.Codes, err = readCodes(cr); err != nil {
+				if b.Codes, err = readCodes(d); err != nil {
 					return nil, err
 				}
 			}
@@ -266,8 +275,8 @@ func LoadMBI(r io.Reader, opts core.Options) (*core.Index, error) {
 		blocks = append(blocks, b)
 	}
 	// Footer first: don't hand Restore bytes the checksum disowns. Read
-	// from br, past the crcReader — the footer does not hash itself.
-	if err := verifyFooter(ver, br, cr.sum); err != nil {
+	// from d.br, past the hash — the footer does not hash itself.
+	if err := verifyFooter(ver, d.br, d.sum); err != nil {
 		return nil, err
 	}
 	return core.Restore(opts, store, times, blocks, forest, int(openLo))
@@ -304,13 +313,12 @@ func SaveSF(w io.Writer, ix *sf.Index) error {
 // LoadSF reads an SF index from r; builder is re-attached for future
 // rebuilds.
 func LoadSF(r io.Reader, builder graph.Builder) (*sf.Index, error) {
-	br := bufio.NewReader(r)
-	cr := &crcReader{r: br}
-	ver, metric, dim, n, err := readHeader(cr, kindSF)
+	d := newDecoder(r)
+	ver, metric, dim, n, err := readHeader(d, kindSF)
 	if err != nil {
 		return nil, err
 	}
-	store, times, err := readData(cr, dim, n)
+	store, times, err := readData(d, dim, n)
 	if err != nil {
 		return nil, err
 	}
@@ -321,14 +329,14 @@ func LoadSF(r io.Reader, builder graph.Builder) (*sf.Index, error) {
 		}
 	}
 	var built uint64
-	if err := readInts(cr, &built); err != nil {
+	if err := readInts(d, &built); err != nil {
 		return nil, err
 	}
-	g, err := readGraph(cr)
+	g, err := readGraph(d)
 	if err != nil {
 		return nil, err
 	}
-	if err := verifyFooter(ver, br, cr.sum); err != nil {
+	if err := verifyFooter(ver, d.br, d.sum); err != nil {
 		return nil, err
 	}
 	if built > 0 || g.NumNodes() > 0 {
@@ -371,9 +379,9 @@ func writeHeader(w io.Writer, kind uint8, metric vec.Metric, dim, n int) error {
 	return binaryWrite(w, kind, uint8(metric), uint32(dim), uint64(n))
 }
 
-func readHeader(r io.Reader, wantKind uint8) (uint32, vec.Metric, int, int, error) {
+func readHeader(d *decoder, wantKind uint8) (uint32, vec.Metric, int, int, error) {
 	var m, v uint64
-	if err := readInts(r, &m, &v); err != nil {
+	if err := readInts(d, &m, &v); err != nil {
 		return 0, 0, 0, 0, err
 	}
 	if uint32(m) != magic {
@@ -385,7 +393,7 @@ func readHeader(r io.Reader, wantKind uint8) (uint32, vec.Metric, int, int, erro
 	var kind, metric uint8
 	var dim uint32
 	var n uint64
-	if err := binaryRead(r, &kind, &metric, &dim, &n); err != nil {
+	if err := binaryRead(d, &kind, &metric, &dim, &n); err != nil {
 		return 0, 0, 0, 0, err
 	}
 	if kind != wantKind {
@@ -410,12 +418,12 @@ func writeData(w io.Writer, store *vec.Store, times []int64) error {
 	return binary.Write(w, order, store.Raw())
 }
 
-func readData(r io.Reader, dim, n int) (*vec.Store, []int64, error) {
-	times, err := readInt64Slice(r, n)
+func readData(d *decoder, dim, n int) (*vec.Store, []int64, error) {
+	times, err := readSlice[int64](d, n, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	buf, err := readFloat32Slice(r, n*dim)
+	buf, err := readSlice[float32](d, n*dim, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -427,55 +435,72 @@ func readData(r io.Reader, dim, n int) (*vec.Store, []int64, error) {
 }
 
 // Counts in a file are untrusted: a corrupt header must not trigger a
-// count-sized allocation. These readers grow their buffers in bounded
-// chunks, so a truncated or garbage file fails at the first missing byte
-// having allocated at most one chunk too many.
+// count-sized allocation. readSlice allocates its result once when the
+// count is at most readChunk elements; beyond that it grows the result
+// as append does, asking for at most readChunk more elements each time
+// the bytes already read fill it. So a truncated or garbage file fails at
+// the first missing byte, having allocated no more than one chunk beyond
+// a constant multiple of the bytes it really holds.
 const readChunk = 1 << 20 // elements per chunk
 
-func readFloat32Slice(r io.Reader, n int) ([]float32, error) {
-	out := make([]float32, 0, minInt(n, readChunk))
+// window is the decoder's fixed byte window: readSlice reads at most this
+// many bytes at a time, hashes them, and decodes them into the result
+// while they are still in cache.
+const window = 16 << 10
+
+// readSlice decodes n little-endian elements of T from d. check, when
+// non-nil, sees each window's elements as they land (at is the index of
+// got[0] in the result), so a validation pass rides along with the
+// decode instead of re-reading the whole payload after it.
+func readSlice[T int32 | int64 | float32 | uint8](d *decoder, n int, check func(at int, got []T) error) ([]T, error) {
+	var zero T
+	size := binary.Size(zero)
+	out := make([]T, 0, min(n, readChunk))
 	for len(out) < n {
-		c := minInt(n-len(out), readChunk)
-		chunk := make([]float32, c)
-		if err := binary.Read(r, order, chunk); err != nil {
+		at := len(out)
+		k := min(n-at, window/size)
+		if at+k > cap(out) {
+			out = slices.Grow(out, min(n-at, readChunk))
+		}
+		out = out[:at+k]
+		if err := readWindow(d, out[at:], size); err != nil {
 			return nil, err
 		}
-		out = append(out, chunk...)
+		if check != nil {
+			if err := check(at, out[at:]); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return out, nil
 }
 
-func readInt64Slice(r io.Reader, n int) ([]int64, error) {
-	out := make([]int64, 0, minInt(n, readChunk))
-	for len(out) < n {
-		c := minInt(n-len(out), readChunk)
-		chunk := make([]int64, c)
-		if err := binary.Read(r, order, chunk); err != nil {
-			return nil, err
+// readWindow reads dst's size-byte elements through d's window and
+// decodes them into dst. It is a call of its own so that the decode loop
+// runs with few live values: inlined into readSlice's loop it kept its
+// index on the stack, and BenchmarkReadSegment ran about 10% slower.
+func readWindow[T int32 | int64 | float32 | uint8](d *decoder, dst []T, size int) error {
+	src := d.win[:len(dst)*size]
+	if _, err := io.ReadFull(d, src); err != nil {
+		return err
+	}
+	switch dst := any(dst).(type) {
+	case []int32:
+		for i := range dst {
+			dst[i] = int32(order.Uint32(src[4*i:]))
 		}
-		out = append(out, chunk...)
-	}
-	return out, nil
-}
-
-func readInt32Slice(r io.Reader, n int) ([]int32, error) {
-	out := make([]int32, 0, minInt(n, readChunk))
-	for len(out) < n {
-		c := minInt(n-len(out), readChunk)
-		chunk := make([]int32, c)
-		if err := binary.Read(r, order, chunk); err != nil {
-			return nil, err
+	case []int64:
+		for i := range dst {
+			dst[i] = int64(order.Uint64(src[8*i:]))
 		}
-		out = append(out, chunk...)
+	case []float32:
+		for i := range dst {
+			dst[i] = math.Float32frombits(order.Uint32(src[4*i:]))
+		}
+	case []uint8:
+		copy(dst, src)
 	}
-	return out, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return nil
 }
 
 func writeGraph(w io.Writer, g *graph.CSR) error {
@@ -488,25 +513,46 @@ func writeGraph(w io.Writer, g *graph.CSR) error {
 	return binary.Write(w, order, g.Adj)
 }
 
-func readGraph(r io.Reader) (*graph.CSR, error) {
+// readGraph decodes a CSR and applies graph.CSR.Validate's two halves
+// on the way in: the offsets once they are decoded, then each edge's
+// range and self-loop check as its window lands.
+func readGraph(d *decoder) (*graph.CSR, error) {
 	var nOff, nAdj uint64
-	if err := readInts(r, &nOff, &nAdj); err != nil {
+	if err := readInts(d, &nOff, &nAdj); err != nil {
 		return nil, err
 	}
 	if nOff > 1<<40 || nAdj > 1<<40 {
 		return nil, fmt.Errorf("persist: implausible graph sizes (%d offsets, %d edges)", nOff, nAdj)
 	}
-	off, err := readInt32Slice(r, int(nOff))
+	off, err := readSlice[int32](d, int(nOff), nil)
 	if err != nil {
 		return nil, err
 	}
-	adj, err := readInt32Slice(r, int(nAdj))
-	if err != nil {
-		return nil, err
-	}
-	g := &graph.CSR{Off: off, Adj: adj}
-	if err := g.Validate(); err != nil {
+	if err := graph.ValidateOffsets(off, int(nAdj)); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
+	}
+	g := &graph.CSR{Off: off}
+	n := g.NumNodes()
+	node := 0 // the node whose edges the next window starts in
+	g.Adj, err = readSlice(d, int(nAdj), func(at int, got []int32) error {
+		// Walk the window node by node: offsets are valid, so every edge
+		// has an owner and each node's run is one contiguous slice.
+		i, end := node, at+len(got)
+		for e := at; e < end; {
+			for int(off[i+1]) <= e {
+				i++
+			}
+			stop := min(int(off[i+1]), end)
+			if err := graph.CheckEdges(i, got[e-at:stop-at], n); err != nil {
+				return fmt.Errorf("persist: %w", err)
+			}
+			e = stop
+		}
+		node = i
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return g, nil
 }
@@ -539,12 +585,12 @@ func writeCodes(w io.Writer, c *sq.Codes) error {
 }
 
 // readCodes reads the optional SQ8 section written by writeCodes. The
-// counts are untrusted (chunked reads); the decoded structure is validated
-// before use so a corrupt-but-CRC-passing section still cannot produce an
-// inconsistent quantizer.
-func readCodes(r io.Reader) (*sq.Codes, error) {
+// counts are untrusted (readSlice bounds the allocations); the decoded
+// structure is validated before use so a corrupt-but-CRC-passing section
+// still cannot produce an inconsistent quantizer.
+func readCodes(d *decoder) (*sq.Codes, error) {
 	var present uint8
-	if err := binaryRead(r, &present); err != nil {
+	if err := binaryRead(d, &present); err != nil {
 		return nil, err
 	}
 	switch present {
@@ -555,7 +601,7 @@ func readCodes(r io.Reader) (*sq.Codes, error) {
 		return nil, fmt.Errorf("persist: bad codes presence byte %d", present)
 	}
 	var dim, n uint64
-	if err := readInts(r, &dim, &n); err != nil {
+	if err := readInts(d, &dim, &n); err != nil {
 		return nil, err
 	}
 	if dim == 0 || dim > 1<<20 || n > 1<<40 {
@@ -563,35 +609,22 @@ func readCodes(r io.Reader) (*sq.Codes, error) {
 	}
 	c := &sq.Codes{Dim: int(dim), N: int(n)}
 	var err error
-	if c.Min, err = readFloat32Slice(r, int(dim)); err != nil {
+	if c.Min, err = readSlice[float32](d, int(dim), nil); err != nil {
 		return nil, err
 	}
-	if c.Step, err = readFloat32Slice(r, int(dim)); err != nil {
+	if c.Step, err = readSlice[float32](d, int(dim), nil); err != nil {
 		return nil, err
 	}
-	if c.Data, err = readUint8Slice(r, int(dim)*int(n)); err != nil {
+	if c.Data, err = readSlice[uint8](d, int(dim)*int(n), nil); err != nil {
 		return nil, err
 	}
-	if c.Norms, err = readFloat32Slice(r, int(n)); err != nil {
+	if c.Norms, err = readSlice[float32](d, int(n), nil); err != nil {
 		return nil, err
 	}
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	return c, nil
-}
-
-func readUint8Slice(r io.Reader, n int) ([]uint8, error) {
-	out := make([]uint8, 0, minInt(n, readChunk))
-	for len(out) < n {
-		c := minInt(n-len(out), readChunk)
-		chunk := make([]uint8, c)
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			return nil, err
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
 }
 
 func writeInts(w io.Writer, vs ...uint64) error {
@@ -603,11 +636,14 @@ func writeInts(w io.Writer, vs ...uint64) error {
 	return nil
 }
 
-func readInts(r io.Reader, vs ...*uint64) error {
-	for _, v := range vs {
-		if err := binary.Read(r, order, v); err != nil {
-			return err
-		}
+// readInts decodes consecutive u64s through d's window.
+func readInts(d *decoder, vs ...*uint64) error {
+	b := d.win[:8*len(vs)]
+	if _, err := io.ReadFull(d, b); err != nil {
+		return err
+	}
+	for i, v := range vs {
+		*v = order.Uint64(b[8*i:])
 	}
 	return nil
 }

@@ -20,14 +20,19 @@ import (
 //
 //	u64 segMagic, u64 segVersion
 //	u64 blockID, u64 lo, u64 hi, u64 height, u64 dim
-//	graph   (writeGraph: off/adj lengths + data)
+//	graph   (writeGraph: u64 offset count, u64 edge count, i32 offsets, i32 edges)
 //	codes   (writeCodes: presence byte + payload)
 //	u32 footerMagic, u32 crc32c   (past the hash, like the snapshot footer)
 //
-// Counts are untrusted on the way in — the chunked readers bound every
-// allocation — and the decoded structures are cross-validated against
-// the header (node count == hi-lo) before the payload is accepted, so a
-// corrupt-but-CRC-passing segment still cannot reach a kernel.
+// ReadSegment decodes it in one pass with the snapshot loaders' decoder:
+// each array streams through a fixed byte window that is hashed and
+// decoded into a result allocated once (counts are untrusted, so
+// readSlice bounds every allocation), the offsets are validated once
+// decoded and each edge as its window lands (graph.ValidateOffsets and
+// graph.CheckEdges, the two halves of CSR.Validate). The decoded
+// structures are then cross-validated against the header (node count ==
+// hi-lo) before the payload is accepted, so a corrupt-but-CRC-passing
+// segment still cannot reach a kernel.
 const (
 	segMagic   = uint64(0x4d424953) // "MBIS"
 	segVersion = uint64(1)
@@ -84,10 +89,9 @@ func WriteSegment(w io.Writer, id, lo, hi, height, dim int, g *graph.CSR, codes 
 // the segment claims; the caller must check that range against its own
 // block table before using the payload.
 func ReadSegment(r io.Reader, wantID, wantDim int) (*graph.CSR, *sq.Codes, int, int, error) {
-	br := bufio.NewReader(r)
-	cr := &crcReader{r: br}
+	d := newDecoder(r)
 	var m, ver uint64
-	if err := readInts(cr, &m, &ver); err != nil {
+	if err := readInts(d, &m, &ver); err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("persist: segment header: %w", err)
 	}
 	if m != segMagic {
@@ -97,7 +101,7 @@ func ReadSegment(r io.Reader, wantID, wantDim int) (*graph.CSR, *sq.Codes, int, 
 		return nil, nil, 0, 0, fmt.Errorf("persist: unsupported segment version %d", ver)
 	}
 	var id, lo, hi, height, dim uint64
-	if err := readInts(cr, &id, &lo, &hi, &height, &dim); err != nil {
+	if err := readInts(d, &id, &lo, &hi, &height, &dim); err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("persist: segment header: %w", err)
 	}
 	if id != uint64(wantID) {
@@ -109,15 +113,15 @@ func ReadSegment(r io.Reader, wantID, wantDim int) (*graph.CSR, *sq.Codes, int, 
 	if lo > hi || hi > 1<<40 || height > 64 {
 		return nil, nil, 0, 0, fmt.Errorf("persist: implausible segment range [%d,%d) height %d", lo, hi, height)
 	}
-	g, err := readGraph(cr)
+	g, err := readGraph(d)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	codes, err := readCodes(cr)
+	codes, err := readCodes(d)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	if err := verifyFooter(uint32(crcVersion), br, cr.sum); err != nil {
+	if err := verifyFooter(uint32(crcVersion), d.br, d.sum); err != nil {
 		return nil, nil, 0, 0, err
 	}
 	// Structural cross-checks after the CRC: a valid checksum proves the

@@ -147,6 +147,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP tknn_block_cache_evictions_total Block payloads evicted to stay under the byte bound.\n")
 		fmt.Fprintf(w, "# TYPE tknn_block_cache_evictions_total counter\n")
 		fmt.Fprintf(w, "tknn_block_cache_evictions_total %d\n", cs.Evictions)
+		fmt.Fprintf(w, "# HELP tknn_block_cache_loaded_bytes_total Block payload bytes paged in by successful loads.\n")
+		fmt.Fprintf(w, "# TYPE tknn_block_cache_loaded_bytes_total counter\n")
+		fmt.Fprintf(w, "tknn_block_cache_loaded_bytes_total %d\n", cs.LoadedBytes)
 		fmt.Fprintf(w, "# HELP tknn_block_cache_bytes Resident block payload bytes in the cache.\n")
 		fmt.Fprintf(w, "# TYPE tknn_block_cache_bytes gauge\n")
 		fmt.Fprintf(w, "tknn_block_cache_bytes %d\n", cs.Bytes)
