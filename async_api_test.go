@@ -3,7 +3,6 @@ package tknn_test
 import (
 	"context"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -70,15 +69,12 @@ func TestMBIExplainPublicAPI(t *testing.T) {
 	}
 }
 
-func TestAutoTuneTau(t *testing.T) {
-	// Tau 0.4 is off the tuner's grid, so a plan that reports it was not
-	// planned from the tuned table.
+// TestSearchExplainMatchesSearch: SearchExplain explains exactly the query
+// Search runs, planned with Options.Tau.
+func TestSearchExplainMatchesSearch(t *testing.T) {
 	ix, err := tknn.NewMBI(tknn.MBIOptions{Dim: 8, LeafSize: 32, GraphDegree: 8, Epsilon: 1.4, Tau: 0.4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ix.TunedTaus() != nil {
-		t.Error("tuned taus before tuning")
 	}
 	vs := randClustered(35, 300, 8)
 	for i, v := range vs {
@@ -86,31 +82,6 @@ func TestAutoTuneTau(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ix.AutoTuneTau(4); err != nil {
-		t.Fatal(err)
-	}
-	taus := ix.TunedTaus()
-	fracs := ix.TunedFractions()
-	if len(taus) == 0 || len(taus) != len(fracs) {
-		t.Fatalf("tuned table shape: %d taus, %d fractions", len(taus), len(fracs))
-	}
-	for _, tau := range taus {
-		if tau <= 0 || tau > 1 {
-			t.Errorf("tuned tau %g out of range", tau)
-		}
-	}
-	// Post-tuning searches still answer correctly.
-	res, err := ix.Search(tknn.Query{Vector: vs[123], K: 1, Start: 0, End: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || res[0].ID != 123 {
-		t.Errorf("post-tune self-query = %v", res)
-	}
-
-	// SearchExplain explains the query Search runs: same τ source, so the
-	// same answer, and the plan reports the table's τ for the window's
-	// coverage (60 of 300 vectors).
 	q := tknn.Query{Vector: vs[140], K: 5, Start: 100, End: 160}
 	want, err := ix.Search(q)
 	if err != nil {
@@ -123,19 +94,8 @@ func TestAutoTuneTau(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("SearchExplain results %v differ from Search's %v", got, want)
 	}
-	bucket := sort.SearchFloat64s(fracs, 60.0/300.0)
-	if !plan.Executed || plan.Tau != taus[bucket] {
-		t.Errorf("executed=%v plan.Tau = %g, want the tuned %g (table %v over %v)", plan.Executed, plan.Tau, taus[bucket], taus, fracs)
-	}
-}
-
-func TestAutoTuneTauEmptyIndex(t *testing.T) {
-	ix, err := tknn.NewMBI(tknn.MBIOptions{Dim: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.AutoTuneTau(2); err == nil {
-		t.Error("tuning an empty index should fail")
+	if !plan.Executed || plan.Tau != 0.4 {
+		t.Errorf("executed=%v plan.Tau = %g, want Options.Tau 0.4", plan.Executed, plan.Tau)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"repro/internal/bsbf"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/nndescent"
 	"repro/internal/sf"
@@ -94,9 +95,11 @@ type Method interface {
 	// Build indexes the full training set, returning the wall-clock
 	// build time.
 	Build(d *dataset.Data) time.Duration
-	// Query answers one TkNN query with range-extension factor eps.
-	// BSBF ignores eps (it is exact).
-	Query(q dataset.Query, eps float64, rng *rand.Rand) []theap.Neighbor
+	// Query answers one TkNN query with range-extension factor eps and
+	// reports the distance evaluations its executed subtasks computed
+	// (exec.Outcome.DistEvals; IVF's plan-time centroid ranking is not
+	// among them). BSBF ignores eps (it is exact).
+	Query(q dataset.Query, eps float64, rng *rand.Rand) ([]theap.Neighbor, int)
 	// Exact reports whether results are exact (skips the ε sweep).
 	Exact() bool
 }
@@ -104,7 +107,8 @@ type Method interface {
 // --- BSBF -------------------------------------------------------------
 
 type bsbfMethod struct {
-	ix *bsbf.Index
+	ix  *bsbf.Index
+	scr *exec.Scratch // Query's per-method scratch, set by Build
 }
 
 // NewBSBF returns the Binary-Search-and-Brute-Force baseline method.
@@ -119,12 +123,12 @@ func (m *bsbfMethod) Build(d *dataset.Data) time.Duration {
 	if err != nil {
 		panic(fmt.Sprintf("bench: bsbf build: %v", err))
 	}
-	m.ix = ix
+	m.ix, m.scr = ix, exec.NewScratch()
 	return time.Since(start)
 }
 
-func (m *bsbfMethod) Query(q dataset.Query, _ float64, _ *rand.Rand) []theap.Neighbor {
-	return m.ix.Search(q.W, q.K, q.Ts, q.Te)
+func (m *bsbfMethod) Query(q dataset.Query, _ float64, _ *rand.Rand) ([]theap.Neighbor, int) {
+	return answer(m.ix.Query(context.Background(), m.scr, q.W, q.K, q.Ts, q.Te))
 }
 
 // --- SF ----------------------------------------------------------------
@@ -134,6 +138,7 @@ type SFMethod struct {
 	profile dataset.Profile
 	seed    int64
 	ix      *sf.Index
+	scr     *exec.Scratch // Query's per-method scratch, set by Build
 }
 
 // NewSF returns the Search-and-Filtering baseline method with the
@@ -161,14 +166,19 @@ func (m *SFMethod) Build(d *dataset.Data) time.Duration {
 	start := time.Now()
 	ix.BuildGraph(m.seed)
 	elapsed := time.Since(start)
-	m.ix = ix
+	m.ix, m.scr = ix, exec.NewScratch()
 	return elapsed
 }
 
-// Query implements Method.
-func (m *SFMethod) Query(q dataset.Query, eps float64, rng *rand.Rand) []theap.Neighbor {
+// Query implements Method; rng draws the walk's random entry vertex
+// (Algorithm 2 line 1), as sf.Index.Search does.
+func (m *SFMethod) Query(q dataset.Query, eps float64, rng *rand.Rand) ([]theap.Neighbor, int) {
 	p := graph.SearchParams{MC: effMC(m.profile.MC, q.K), Eps: float32(eps)}
-	return m.ix.Search(q.W, q.K, q.Ts, q.Te, p, rng)
+	var entry int32
+	if built := m.ix.Built(); built > 0 {
+		entry = graph.RandomEntry(rng, built)
+	}
+	return answer(m.ix.Query(context.Background(), m.scr, q.W, q.K, q.Ts, q.Te, p, entry))
 }
 
 // effMC widens the candidate cap for large k: a frontier smaller than the
@@ -249,17 +259,21 @@ func (m *MBIMethod) Build(d *dataset.Data) time.Duration {
 
 // Query implements Method; tau is whatever SetTau last set (a pure
 // query-time parameter, so Figure 9 sweeps it on one built index).
-func (m *MBIMethod) Query(q dataset.Query, eps float64, rng *rand.Rand) []theap.Neighbor {
+func (m *MBIMethod) Query(q dataset.Query, eps float64, rng *rand.Rand) ([]theap.Neighbor, int) {
 	p := graph.SearchParams{MC: effMC(m.profile.MC, q.K), Eps: float32(eps)}
 	return mbiQuery(m.ix, m.scr, core.Request{Q: q.W, K: q.K, Ts: q.Ts, Te: q.Te, Tau: m.tau, Params: p, Rng: rng})
 }
 
-// mbiQuery answers req on scr and returns a copy of the neighbors: the
-// experiments keep every answer to score recall, and scr's next query
-// would overwrite an aliased one.
-func mbiQuery(ix *core.Index, scr *core.Scratch, req core.Request) []theap.Neighbor {
-	res, _ := ix.Query(context.Background(), scr, req)
-	return slices.Clone(res)
+// mbiQuery answers req on scr; see answer.
+func mbiQuery(ix *core.Index, scr *core.Scratch, req core.Request) ([]theap.Neighbor, int) {
+	return answer(ix.Query(context.Background(), scr, req))
+}
+
+// answer returns a copy of a query's neighbors and its distance
+// evaluations: the experiments keep every answer to score recall, and the
+// scratch's next query would overwrite an aliased one.
+func answer(res []theap.Neighbor, out exec.Outcome) ([]theap.Neighbor, int) {
+	return slices.Clone(res), out.DistEvals
 }
 
 // Index exposes the built MBI index (for size measurement and τ sweeps).
@@ -267,20 +281,26 @@ func (m *MBIMethod) Index() *core.Index { return m.ix }
 
 // --- measurement primitives ---------------------------------------------
 
-// Point is one measured (recall, QPS) operating point.
+// Point is one measured (recall, QPS) operating point. DistEvals, the
+// mean distance evaluations per query, is its clock-free cost: it does not
+// move with the machine's load.
 type Point struct {
-	Eps    float64
-	Recall float64
-	QPS    float64
+	Eps       float64
+	Recall    float64
+	QPS       float64
+	DistEvals float64
 }
 
-// measure runs all queries at one ε and returns recall and QPS.
+// measure runs all queries at one ε and returns recall, QPS and evals.
 func measure(m Method, qs []dataset.Query, gt [][]theap.Neighbor, eps float64, seed int64) Point {
 	rng := rand.New(rand.NewSource(seed))
 	answers := make([][]theap.Neighbor, len(qs))
+	evals := 0
 	start := time.Now()
 	for i, q := range qs {
-		answers[i] = m.Query(q, eps, rng)
+		var n int
+		answers[i], n = m.Query(q, eps, rng)
+		evals += n
 	}
 	elapsed := time.Since(start)
 	var recall float64
@@ -288,7 +308,7 @@ func measure(m Method, qs []dataset.Query, gt [][]theap.Neighbor, eps float64, s
 		recall += dataset.Recall(answers[i], gt[i], qs[i].K)
 	}
 	recall /= float64(len(qs))
-	return Point{Eps: eps, Recall: recall, QPS: float64(len(qs)) / elapsed.Seconds()}
+	return Point{Eps: eps, Recall: recall, QPS: float64(len(qs)) / elapsed.Seconds(), DistEvals: float64(evals) / float64(len(qs))}
 }
 
 // Operating is the result of tuning one method at one workload point.

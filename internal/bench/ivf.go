@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/exec"
 	"repro/internal/ivf"
 	"repro/internal/theap"
 )
@@ -24,6 +26,7 @@ type IVFMethod struct {
 	sweepLo float64
 	sweepHi float64
 	ix      *ivf.Index
+	scr     *exec.Scratch // Query's per-method scratch, set by Build
 }
 
 // NewIVF returns the IVF comparator. sweepLo/sweepHi must match the
@@ -52,13 +55,13 @@ func (m *IVFMethod) Build(d *dataset.Data) time.Duration {
 		panic(fmt.Sprintf("bench: ivf build: %v", err))
 	}
 	elapsed := time.Since(start)
-	m.ix = ix
+	m.ix, m.scr = ix, exec.NewScratch()
 	return elapsed
 }
 
 // Query implements Method, translating the sweep variable to nprobe.
-func (m *IVFMethod) Query(q dataset.Query, eps float64, _ *rand.Rand) []theap.Neighbor {
-	return m.ix.Search(q.W, q.K, q.Ts, q.Te, m.nprobe(eps))
+func (m *IVFMethod) Query(q dataset.Query, eps float64, _ *rand.Rand) ([]theap.Neighbor, int) {
+	return answer(m.ix.Query(context.Background(), m.scr, q.W, q.K, q.Ts, q.Te, m.nprobe(eps)))
 }
 
 func (m *IVFMethod) nprobe(eps float64) int {

@@ -187,7 +187,7 @@ func SQExperiment(c Config, w io.Writer, jsonPath string) (SQReport, error) {
 		scr := core.NewScratch()
 		start := time.Now()
 		for i, q := range qs {
-			answers[i] = mbiQuery(ix, scr, core.Request{Q: q.W, K: q.K, Ts: q.Ts, Te: q.Te, Tau: p.Tau, Params: sp, Rng: qrng})
+			answers[i], _ = mbiQuery(ix, scr, core.Request{Q: q.W, K: q.K, Ts: q.Ts, Te: q.Te, Tau: p.Tau, Params: sp, Rng: qrng})
 		}
 		return answers, time.Since(start)
 	}

@@ -173,7 +173,7 @@ func TierExperiment(c Config, w io.Writer, jsonPath string) (TierReport, error) 
 		scr := core.NewScratch()
 		for i, q := range qs {
 			start := time.Now()
-			answers[i] = mbiQuery(ix, scr, core.Request{Q: q.W, K: q.K, Ts: q.Ts, Te: q.Te, Tau: p.Tau, Params: sp, Rng: qrng})
+			answers[i], _ = mbiQuery(ix, scr, core.Request{Q: q.W, K: q.K, Ts: q.Ts, Te: q.Te, Tau: p.Tau, Params: sp, Rng: qrng})
 			lats[i] = time.Since(start)
 			if (i+1)%quarter == 0 || i == len(qs)-1 {
 				if st, ok := ix.CacheStats(); ok && st.Hits+st.Misses > 0 {

@@ -33,7 +33,6 @@ import (
 	"sync"
 
 	"repro/internal/blockcache"
-	"repro/internal/bsbf"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/invariant"
@@ -488,10 +487,6 @@ type Request struct {
 	// Options.Tau. τ is a pure query-time parameter — no index state
 	// depends on it (the Figure 9 sweep varies it per query).
 	Tau float64
-	// TauTable, when non-nil, overrides Tau with the tuned τ for the
-	// window's coverage fraction — the run-time half of §5.4.2's
-	// suggestion. The fraction costs two binary searches.
-	TauTable *TauTable
 	// Params are the Algorithm 2 parameters (M_C, ε); the zero value uses
 	// Options.Search.
 	Params graph.SearchParams
@@ -541,10 +536,6 @@ func (ix *Index) Query(ctx context.Context, scr *Scratch, req Request) ([]theap.
 	tau := req.Tau
 	if tau == 0 {
 		tau = ix.opts.Tau
-	}
-	if req.TauTable != nil && n > 0 {
-		lo, hi := bsbf.WindowOf(ix.times, req.Ts, req.Te)
-		tau = req.TauTable.TauFor(float64(hi-lo) / float64(n))
 	}
 	if req.Explain != nil {
 		*req.Explain = Plan{Tau: tau, WindowStart: req.Ts, WindowEnd: req.Te, Blocks: req.Explain.Blocks[:0]}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/sq"
 )
 
@@ -108,85 +107,6 @@ func TestExplainTauChangesGranularity(t *testing.T) {
 	fine := ix.ExplainTau(13, 45, 1.0)
 	if len(fine.Blocks) <= len(coarse.Blocks) {
 		t.Errorf("tau=1 plan (%d blocks) not finer than tau=0.05 (%d)", len(fine.Blocks), len(coarse.Blocks))
-	}
-}
-
-func TestTuneTauAndAutoSearch(t *testing.T) {
-	ix, err := New(testOptions(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs := fill(t, ix, 59, 400)
-	table, err := ix.TuneTau(TunerConfig{
-		Taus:             []float64{0.2, 0.5, 0.8},
-		Fractions:        []float64{0.05, 0.5, 1.0},
-		QueriesPerBucket: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Taus) != 3 {
-		t.Fatalf("table has %d entries", len(table.Taus))
-	}
-	for _, tau := range table.Taus {
-		if tau != 0.2 && tau != 0.5 && tau != 0.8 {
-			t.Errorf("tuned tau %g not from the grid", tau)
-		}
-	}
-	// TauFor bucketing.
-	if got := table.TauFor(0.01); got != table.Taus[0] {
-		t.Errorf("TauFor(0.01) = %g, want bucket 0's %g", got, table.Taus[0])
-	}
-	if got := table.TauFor(0.9); got != table.Taus[2] {
-		t.Errorf("TauFor(0.9) = %g, want bucket 2's %g", got, table.Taus[2])
-	}
-	if got := table.TauFor(2.0); got != table.Taus[2] {
-		t.Errorf("TauFor beyond last bucket should clamp")
-	}
-
-	// Auto search returns valid in-window results.
-	rng := rand.New(rand.NewSource(60))
-	p := graph.SearchParams{MC: 32, Eps: 1.3}
-	for trial := 0; trial < 20; trial++ {
-		a := rng.Intn(400)
-		b := a + 1 + rng.Intn(400-a)
-		res, _ := queryCtx(context.Background(), ix, Request{Q: vs[rng.Intn(len(vs))], K: 5, Ts: int64(a), Te: int64(b), TauTable: table, Params: p, Rng: rng})
-		for _, r := range res {
-			if int(r.ID) < a || int(r.ID) >= b {
-				t.Fatalf("auto-tau result %d outside [%d, %d)", r.ID, a, b)
-			}
-		}
-	}
-}
-
-func TestTuneTauValidation(t *testing.T) {
-	ix, err := New(testOptions(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.TuneTau(TunerConfig{}); err == nil {
-		t.Error("tuning an empty index should fail")
-	}
-	fill(t, ix, 61, 20)
-	if _, err := ix.TuneTau(TunerConfig{Taus: []float64{0, 0.5}}); err == nil {
-		t.Error("tau 0 accepted")
-	}
-	if _, err := ix.TuneTau(TunerConfig{Fractions: []float64{0.5, 0.1}}); err == nil {
-		t.Error("descending fractions accepted")
-	}
-	if _, err := ix.TuneTau(TunerConfig{QueriesPerBucket: -1}); err == nil {
-		t.Error("negative QueriesPerBucket accepted")
-	}
-	if _, err := ix.TuneTau(TunerConfig{K: -1}); err == nil {
-		t.Error("negative K accepted")
-	}
-	// Defaults work.
-	table, err := ix.TuneTau(TunerConfig{QueriesPerBucket: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Taus) != len(table.Fractions) {
-		t.Errorf("table shape %d/%d", len(table.Taus), len(table.Fractions))
 	}
 }
 

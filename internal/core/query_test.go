@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/blockcache"
-	"repro/internal/bsbf"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/sq"
@@ -40,7 +39,7 @@ func memSpill(maxHeight int) *SpillConfig {
 // TestQueryIsTheOneBody: Query replaced ten Search* variants that differed
 // only in which parameters they took and who owned the buffers. Every way
 // of spelling the same query through Request — a default left zero or
-// written out, τ given or looked up in a table, Explain set or not, a warm
+// written out, τ given, Explain set or not, a warm
 // shared scratch or the pooled Search — must return bit-identical
 // neighbors, for sequential and parallel execution alike, on an index
 // with flat, SQ8, and spilled blocks plus an open leaf.
@@ -57,7 +56,6 @@ func TestQueryIsTheOneBody(t *testing.T) {
 	if n, _, err := ix.SpillCold(); err != nil || n == 0 {
 		t.Fatalf("SpillCold spilled %d blocks, err %v", n, err)
 	}
-	table := &TauTable{Fractions: []float64{0.1, 0.5, 1}, Taus: []float64{0.9, 0.3, 0.1}}
 	p := graph.SearchParams{MC: 24, Eps: 1.3}
 	const k = 7
 
@@ -80,11 +78,9 @@ func TestQueryIsTheOneBody(t *testing.T) {
 	cold := 0
 	for _, win := range [][2]int64{{0, 325}, {5, 300}, {40, 170}, {150, 165}, {310, 325}} {
 		ts, te := win[0], win[1]
-		lo, hi := bsbf.WindowOf(ix.Times(), ts, te)
-		tableTau := table.TauFor(float64(hi-lo) / float64(ix.Len()))
 		for qi := 0; qi < 6; qi++ {
 			base := Request{Q: vs[(qi*53+int(ts))%len(vs)], K: k, Ts: ts, Te: te}
-			var wantDefault, wantSeeded, wantTable []theap.Neighbor
+			var wantDefault, wantSeeded []theap.Neighbor
 			for _, workers := range []int{1, 4} {
 				setProcs(t, workers)
 
@@ -132,22 +128,6 @@ func TestQueryIsTheOneBody(t *testing.T) {
 				if a, b := rngA.Int63(), rngB.Int63(); a != b {
 					t.Errorf("Rng consumed differently with Explain set: next draws %d vs %d", a, b)
 				}
-
-				// τ from the table is τ given directly.
-				tabled := base
-				tabled.TauTable = table
-				tabled.Explain = &plan
-				ta := run(tabled)
-				if wantTable == nil {
-					wantTable = ta
-				}
-				same("table τ, workers 4 vs 1", wantTable, ta)
-				if plan.Tau != tableTau {
-					t.Errorf("table τ: plan.Tau = %g, want %g", plan.Tau, tableTau)
-				}
-				direct := base
-				direct.Tau = tableTau
-				same("table τ vs the same τ given directly", wantTable, run(direct))
 			}
 			_, out := ix.Query(context.Background(), warm, base)
 			for _, sr := range out.Subtasks {

@@ -127,15 +127,6 @@ func (t *TopK) Items() []Neighbor {
 	return out
 }
 
-// Snapshot returns a copy of the retained neighbors sorted by ascending
-// distance, leaving the collector intact.
-func (t *TopK) Snapshot() []Neighbor {
-	cp := make([]Neighbor, len(t.heap))
-	copy(cp, t.heap)
-	sortNeighbors(cp)
-	return cp
-}
-
 func (t *TopK) siftUp(i int) {
 	h := t.heap
 	for i > 0 {
@@ -242,104 +233,6 @@ func (q *MinQueue) Pop() Neighbor {
 		q.head = 0
 	}
 	return top
-}
-
-// sortNeighbors sorts by ascending (Dist, ID) with insertion sort for short
-// slices and a simple quicksort otherwise. The slices here are small
-// (bounded by M_C or k), so this beats the reflection cost of sort.Slice.
-func sortNeighbors(a []Neighbor) {
-	if len(a) < 24 {
-		insertionSort(a)
-		return
-	}
-	quickSort(a, 0)
-}
-
-func insertionSort(a []Neighbor) {
-	for i := 1; i < len(a); i++ {
-		x := a[i]
-		j := i - 1
-		for j >= 0 && Less(x, a[j]) {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = x
-	}
-}
-
-func quickSort(a []Neighbor, depth int) {
-	for len(a) >= 24 {
-		if depth > 40 {
-			heapSortAll(a)
-			return
-		}
-		depth++
-		p := partition(a)
-		if p < len(a)-p {
-			quickSort(a[:p], depth)
-			a = a[p+1:]
-		} else {
-			quickSort(a[p+1:], depth)
-			a = a[:p]
-		}
-	}
-	insertionSort(a)
-}
-
-func partition(a []Neighbor) int {
-	// Median-of-three pivot to avoid quadratic behavior on sorted input.
-	m := len(a) / 2
-	hi := len(a) - 1
-	if Less(a[m], a[0]) {
-		a[m], a[0] = a[0], a[m]
-	}
-	if Less(a[hi], a[0]) {
-		a[hi], a[0] = a[0], a[hi]
-	}
-	if Less(a[hi], a[m]) {
-		a[hi], a[m] = a[m], a[hi]
-	}
-	a[m], a[hi-1] = a[hi-1], a[m]
-	pivot := a[hi-1]
-	i := 0
-	for j := 0; j < hi-1; j++ {
-		if Less(a[j], pivot) {
-			a[i], a[j] = a[j], a[i]
-			i++
-		}
-	}
-	a[i], a[hi-1] = a[hi-1], a[i]
-	return i
-}
-
-func heapSortAll(a []Neighbor) {
-	// Build a max-heap then repeatedly extract; fallback for pathological
-	// quicksort inputs.
-	for i := len(a)/2 - 1; i >= 0; i-- {
-		siftDownRange(a, i, len(a))
-	}
-	for n := len(a) - 1; n > 0; n-- {
-		a[0], a[n] = a[n], a[0]
-		siftDownRange(a, 0, n)
-	}
-}
-
-func siftDownRange(a []Neighbor, i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		big := l
-		if r := l + 1; r < n && Less(a[l], a[r]) {
-			big = r
-		}
-		if !Less(a[i], a[big]) {
-			return
-		}
-		a[i], a[big] = a[big], a[i]
-		i = big
-	}
 }
 
 // Merge combines several ascending-sorted neighbor lists into the k nearest

@@ -76,28 +76,6 @@ func TestTopKProperty(t *testing.T) {
 	}
 }
 
-func TestTopKSnapshotKeepsContents(t *testing.T) {
-	top := NewTopK(3)
-	for _, d := range []float32{5, 1, 3, 2, 4} {
-		top.Push(Neighbor{ID: int32(d), Dist: d})
-	}
-	snap := top.Snapshot()
-	if len(snap) != 3 || snap[0].Dist != 1 || snap[2].Dist != 3 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	if top.Len() != 3 {
-		t.Errorf("snapshot consumed the heap: len %d", top.Len())
-	}
-	// Items after Snapshot still works and returns the same contents.
-	items := top.Items()
-	if len(items) != 3 || items[0].Dist != 1 {
-		t.Fatalf("items = %v", items)
-	}
-	if top.Len() != 0 {
-		t.Errorf("Items should consume: len %d", top.Len())
-	}
-}
-
 func TestTopKWorstAndFull(t *testing.T) {
 	top := NewTopK(2)
 	if top.Full() {
@@ -311,49 +289,5 @@ func TestMergeEmpty(t *testing.T) {
 	}
 	if got := Merge(3, nil, nil); len(got) != 0 {
 		t.Errorf("Merge(nil, nil) = %v, want empty", got)
-	}
-}
-
-func TestSortNeighborsLargeInputs(t *testing.T) {
-	// Exercise the quicksort path (len >= 24) including duplicate-heavy
-	// and pre-sorted inputs that would break a naive pivot choice.
-	rng := rand.New(rand.NewSource(9))
-	shapes := []func(n int) []Neighbor{
-		func(n int) []Neighbor { return randNeighbors(rng, n) },
-		func(n int) []Neighbor { // all equal distances
-			out := make([]Neighbor, n)
-			for i := range out {
-				out[i] = Neighbor{ID: int32(n - i), Dist: 1}
-			}
-			return out
-		},
-		func(n int) []Neighbor { // already ascending
-			out := make([]Neighbor, n)
-			for i := range out {
-				out[i] = Neighbor{ID: int32(i), Dist: float32(i)}
-			}
-			return out
-		},
-		func(n int) []Neighbor { // descending
-			out := make([]Neighbor, n)
-			for i := range out {
-				out[i] = Neighbor{ID: int32(i), Dist: float32(n - i)}
-			}
-			return out
-		},
-	}
-	for si, shape := range shapes {
-		for _, n := range []int{24, 100, 1000} {
-			items := shape(n)
-			cp := make([]Neighbor, n)
-			copy(cp, items)
-			sortNeighbors(cp)
-			want := reference(items, n)
-			for i := range cp {
-				if cp[i] != want[i] {
-					t.Fatalf("shape %d n %d: index %d = %v, want %v", si, n, i, cp[i], want[i])
-				}
-			}
-		}
 	}
 }

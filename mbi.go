@@ -218,12 +218,6 @@ func (o MBIOptions) coreOptions() (core.Options, error) {
 type MBI struct {
 	opts  MBIOptions
 	inner *core.Index
-
-	// tauTable, when non-nil, makes Search pick τ per query from the
-	// tuned table (see AutoTuneTau). Written once by AutoTuneTau; reads
-	// race-free thereafter because AutoTuneTau must not run concurrently
-	// with Search.
-	tauTable *core.TauTable
 }
 
 // NewMBI creates an empty MBI index. opts is copied; unset fields default
@@ -263,9 +257,8 @@ func (m *MBI) Add(v []float32, t int64) error {
 	return nil
 }
 
-// Search implements Index. After AutoTuneTau, the block-selection
-// threshold is chosen per query from the tuned table; otherwise
-// Options.Tau applies.
+// Search implements Index. Block selection uses the threshold
+// Options.Tau.
 func (m *MBI) Search(q Query) ([]Result, error) {
 	return m.SearchContext(context.Background(), q)
 }
@@ -285,16 +278,15 @@ func (m *MBI) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInfo
 	return m.search(ctx, q, nil)
 }
 
-// search runs q through the core index's one query body, with τ from the
-// tuned table once AutoTuneTau has set one; a non-nil explain receives the
-// executed plan.
+// search runs q through the core index's one query body; a non-nil
+// explain receives the executed plan.
 func (m *MBI) search(ctx context.Context, q Query, explain *core.Plan) ([]Result, SearchInfo, error) {
 	if err := validateQuery(q, m.opts.Dim); err != nil {
 		return nil, SearchInfo{}, err
 	}
 	scr := core.GetScratch()
 	defer core.PutScratch(scr)
-	ns, out := m.inner.Query(ctx, scr, core.Request{Q: q.Vector, K: q.K, Ts: q.Start, Te: q.End, TauTable: m.tauTable, Explain: explain})
+	ns, out := m.inner.Query(ctx, scr, core.Request{Q: q.Vector, K: q.K, Ts: q.Start, Te: q.End, Explain: explain})
 	return toResults(ns, m.inner.Times()), infoFrom(out), nil
 }
 
@@ -311,42 +303,6 @@ func (m *MBI) SearchBatch(queries []Query, workers int) ([][]Result, error) {
 // addition to the first-error-aborts semantics of SearchBatch.
 func (m *MBI) SearchBatchContext(ctx context.Context, queries []Query, workers int) ([][]Result, error) {
 	return searchBatchCtx(ctx, queries, workers, m.SearchContext)
-}
-
-// AutoTuneTau implements the paper's §5.4.2 suggestion: it measures which
-// block-selection threshold τ answers queries fastest for a ladder of
-// window sizes on this index's own data, then makes every subsequent
-// Search pick τ from the resulting table based on the query window's
-// coverage. samplesPerBucket controls tuning effort (0 uses a default of
-// 30 sampled queries per window-size bucket). AutoTuneTau must not run
-// concurrently with Search or Add; tuning issues real queries, so expect
-// it to take roughly the time of a few hundred searches.
-func (m *MBI) AutoTuneTau(samplesPerBucket int) error {
-	table, err := m.inner.TuneTau(core.TunerConfig{QueriesPerBucket: samplesPerBucket, Seed: m.opts.Seed})
-	if err != nil {
-		return err
-	}
-	m.tauTable = table
-	return nil
-}
-
-// TunedTaus reports the per-window-fraction thresholds AutoTuneTau chose
-// (nil before tuning): TunedTaus()[i] applies to windows covering up to
-// TunedFractions()[i] of the data.
-func (m *MBI) TunedTaus() []float64 {
-	if m.tauTable == nil {
-		return nil
-	}
-	return append([]float64(nil), m.tauTable.Taus...)
-}
-
-// TunedFractions reports the bucket bounds of the tuned table (nil before
-// tuning).
-func (m *MBI) TunedFractions() []float64 {
-	if m.tauTable == nil {
-		return nil
-	}
-	return append([]float64(nil), m.tauTable.Fractions...)
 }
 
 // Len implements Index.
@@ -380,9 +336,7 @@ func (m *MBI) Explain(start, end int64) core.Plan { return m.inner.Explain(start
 // SearchExplain answers the query and returns the executed plan: the
 // Explain statics annotated with per-block durations, skip flags, found
 // counts, stage timings, and the Partial flag — EXPLAIN ANALYZE for a
-// TkNN query. It explains exactly the query Search runs: after
-// AutoTuneTau, τ comes from the tuned table (Explain, the static form,
-// always uses Options.Tau).
+// TkNN query. It explains exactly the query Search runs.
 func (m *MBI) SearchExplain(ctx context.Context, q Query) ([]Result, core.Plan, error) {
 	var plan core.Plan
 	res, _, err := m.search(ctx, q, &plan)
