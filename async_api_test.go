@@ -98,46 +98,3 @@ func TestSearchExplainMatchesSearch(t *testing.T) {
 		t.Errorf("executed=%v plan.Tau = %g, want Options.Tau 0.4", plan.Executed, plan.Tau)
 	}
 }
-
-func TestSearchBatch(t *testing.T) {
-	ix, err := tknn.NewMBI(tknn.MBIOptions{Dim: 8, LeafSize: 32, GraphDegree: 8, Epsilon: 1.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs := randClustered(51, 300, 8)
-	for i, v := range vs {
-		if err := ix.Add(v, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	queries := make([]tknn.Query, 40)
-	for i := range queries {
-		queries[i] = tknn.Query{Vector: vs[i*7], K: 1, Start: 0, End: 300}
-	}
-	for _, workers := range []int{0, 1, 4, 100} {
-		out, err := ix.SearchBatch(queries, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(out) != len(queries) {
-			t.Fatalf("workers=%d: %d results", workers, len(out))
-		}
-		for i, res := range out {
-			if len(res) != 1 || res[0].ID != i*7 {
-				t.Fatalf("workers=%d query %d: %v", workers, i, res)
-			}
-		}
-	}
-	// An invalid query aborts the batch with its index in the error.
-	queries[13].K = 0
-	if _, err := ix.SearchBatch(queries, 4); err == nil {
-		t.Error("bad query in batch did not error")
-	}
-	if _, err := ix.SearchBatch(queries, 1); err == nil {
-		t.Error("bad query in sequential batch did not error")
-	}
-	// Empty batch is fine.
-	if out, err := ix.SearchBatch(nil, 8); err != nil || len(out) != 0 {
-		t.Errorf("empty batch: %v, %v", out, err)
-	}
-}

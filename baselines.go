@@ -25,49 +25,13 @@ type BSBF struct {
 
 // NewBSBF creates an empty BSBF index.
 func NewBSBF(dim int, metric Metric) (*BSBF, error) {
-	return NewBSBFWithOptions(BSBFOptions{Dim: dim, Metric: metric})
-}
-
-// BSBFOptions configures a BSBF index beyond dimension and metric.
-type BSBFOptions struct {
-	// Dim is the vector dimension. Required.
-	Dim int
-	// Metric is the distance function. Default Euclidean.
-	Metric Metric
-	// Compression selects per-chunk vector compression: with
-	// CompressionSQ8 each full run of ChunkSize appended rows is sealed
-	// into a scalar quantizer, scans read 1-byte codes through an
-	// asymmetric kernel, and an exact re-rank restores ordering. The
-	// still-open tail is always scanned exactly.
-	Compression Compression
-	// RerankFactor is the compressed-scan over-fetch multiplier
-	// (candidates = k·RerankFactor). 0 uses the executor default (4).
-	RerankFactor int
-	// ChunkSize is the row count sealed into one quantizer. 0 uses the
-	// scan-subtask chunk size (8192).
-	ChunkSize int
-}
-
-// NewBSBFWithOptions creates an empty BSBF index with explicit options.
-func NewBSBFWithOptions(opts BSBFOptions) (*BSBF, error) {
-	if opts.Dim <= 0 {
-		return nil, fmt.Errorf("tknn: dimension must be positive, got %d", opts.Dim)
+	if dim <= 0 {
+		return nil, fmt.Errorf("tknn: dimension must be positive, got %d", dim)
 	}
-	if !opts.Metric.valid() {
-		return nil, fmt.Errorf("tknn: invalid metric %d", opts.Metric)
+	if !metric.valid() {
+		return nil, fmt.Errorf("tknn: invalid metric %d", metric)
 	}
-	if !opts.Compression.valid() {
-		return nil, fmt.Errorf("tknn: invalid compression %d", opts.Compression)
-	}
-	inner, err := bsbf.NewWithConfig(opts.Dim, opts.Metric.internal(), bsbf.Config{
-		Compression:  opts.Compression.internal(),
-		RerankFactor: opts.RerankFactor,
-		ChunkSize:    opts.ChunkSize,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &BSBF{dim: opts.Dim, inner: inner}, nil
+	return &BSBF{dim: dim, inner: bsbf.New(dim, metric.internal())}, nil
 }
 
 // Add implements Index.
@@ -85,18 +49,14 @@ func (b *BSBF) Add(v []float32, t int64) error {
 
 // Search implements Index. Results are exact.
 func (b *BSBF) Search(q Query) ([]Result, error) {
-	return b.SearchContext(context.Background(), q)
-}
-
-// SearchContext is Search through the shared executor: the window's scan
-// chunks run across exec.Run's workers, and a done context yields the
-// best neighbors of the chunks that ran (a partial answer, not an error).
-func (b *BSBF) SearchContext(ctx context.Context, q Query) ([]Result, error) {
-	res, _, err := b.SearchDetailed(ctx, q)
+	res, _, err := b.SearchDetailed(context.Background(), q)
 	return res, err
 }
 
-// SearchDetailed is SearchContext plus stage timings and the Partial flag.
+// SearchDetailed is Search under ctx, plus stage timings and the Partial
+// flag: the window's scan chunks run across exec.Run's workers, and a done
+// context yields the best neighbors of the chunks that ran (a partial
+// answer, not an error).
 func (b *BSBF) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInfo, error) {
 	if err := validateQuery(q, b.dim); err != nil {
 		return nil, SearchInfo{}, err
@@ -107,13 +67,6 @@ func (b *BSBF) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInf
 	defer b.mu.RUnlock()
 	ns, out := b.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End)
 	return toResults(ns, b.inner.TimesRef()), infoFrom(out), nil
-}
-
-// SearchBatchContext fans queries across workers goroutines with the same
-// batch semantics as MBI.SearchBatch: the first query error aborts, and a
-// done context stops the batch with ctx.Err().
-func (b *BSBF) SearchBatchContext(ctx context.Context, queries []Query, workers int) ([][]Result, error) {
-	return searchBatchCtx(ctx, queries, workers, b.SearchContext)
 }
 
 // Len implements Index.
@@ -250,19 +203,14 @@ func (s *SF) Built() int {
 
 // Search implements Index.
 func (s *SF) Search(q Query) ([]Result, error) {
-	return s.SearchContext(context.Background(), q)
-}
-
-// SearchContext is Search through the shared executor: the graph walk and
-// the unbuilt-tail scan run as independent subtasks, and a done context
-// yields the results of the subtasks that ran (a partial answer, not an
-// error).
-func (s *SF) SearchContext(ctx context.Context, q Query) ([]Result, error) {
-	res, _, err := s.SearchDetailed(ctx, q)
+	res, _, err := s.SearchDetailed(context.Background(), q)
 	return res, err
 }
 
-// SearchDetailed is SearchContext plus stage timings and the Partial flag.
+// SearchDetailed is Search under ctx, plus stage timings and the Partial
+// flag: the graph walk and the unbuilt-tail scan run as independent
+// subtasks, and a done context yields the results of the subtasks that ran
+// (a partial answer, not an error).
 func (s *SF) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInfo, error) {
 	if err := validateQuery(q, s.opts.Dim); err != nil {
 		return nil, SearchInfo{}, err
@@ -279,13 +227,6 @@ func (s *SF) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInfo,
 	p := graph.SearchParams{MC: s.opts.MaxCandidates, Eps: float32(s.opts.Epsilon)}
 	ns, out := s.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, p, entry)
 	return toResults(ns, s.inner.Times()), infoFrom(out), nil
-}
-
-// SearchBatchContext fans queries across workers goroutines with the same
-// batch semantics as MBI.SearchBatch: the first query error aborts, and a
-// done context stops the batch with ctx.Err().
-func (s *SF) SearchBatchContext(ctx context.Context, queries []Query, workers int) ([][]Result, error) {
-	return searchBatchCtx(ctx, queries, workers, s.SearchContext)
 }
 
 // Len implements Index.

@@ -17,26 +17,18 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/sq"
 	"repro/internal/theap"
 	"repro/internal/vec"
 )
 
 // Index is a timestamp-sorted database supporting exact TkNN queries.
 // Appends must be in non-decreasing timestamp order (the time-accumulating
-// setting of the paper); Append is single-writer, Search may run
-// concurrently with other Searches.
+// setting of the paper); Append is single-writer, Query may run
+// concurrently with other Queries.
 type Index struct {
 	store  *vec.Store
 	times  []int64
 	metric vec.Metric
-
-	// Optional SQ8 compression (see compress.go): cfg selects it, codes[c]
-	// quantizes chunk c's rows, sealed is the global row count covered by
-	// codes — always a multiple of cfg.ChunkSize.
-	cfg    Config
-	codes  []*sq.Codes
-	sealed int
 }
 
 // New returns an empty BSBF index over dim-dimensional vectors.
@@ -78,7 +70,6 @@ func (ix *Index) Append(v []float32, t int64) error {
 		return err
 	}
 	ix.times = append(ix.times, t)
-	ix.sealChunks()
 	return nil
 }
 
@@ -112,23 +103,11 @@ func lowerBound(times []int64, t int64) int {
 	return lo
 }
 
-// Search returns the exact k nearest neighbors to q among vectors with
-// timestamps in [ts, te), ordered by ascending distance. Returned IDs are
-// global insertion indices. Fewer than k results are returned when the
-// window holds fewer than k vectors. It is Query on a pooled scratch with
-// the results copied out.
-func (ix *Index) Search(q []float32, k int, ts, te int64) []theap.Neighbor {
-	return exec.Pooled(func(scr *exec.Scratch) []theap.Neighbor {
-		res, _ := ix.Query(context.Background(), scr, q, k, ts, te)
-		return res
-	})
-}
-
 // Query is the one search body: it translates the query into the shared
 // executor's shape — the binary-searched window split into fixed-size scan
-// chunks (compressed where sealed), so a long window can be scanned by
-// several of exec.Run's workers and merged; chunks cover disjoint id ranges,
-// so the merged result is identical at every GOMAXPROCS — and runs it.
+// chunks, so a long window can be scanned by several of exec.Run's workers
+// and merged; chunks cover disjoint id ranges, so the merged result is
+// identical at every GOMAXPROCS — and runs it.
 // Subtasks never start after ctx is done, and expiry yields partial
 // results tagged in the outcome.
 //
@@ -145,11 +124,7 @@ func (ix *Index) Query(ctx context.Context, scr *exec.Scratch, q []float32, k in
 	plan := exec.Plan{K: k, Query: q, Subtasks: scr.Subtasks[:0]}
 	if k > 0 && ts < te {
 		lo, hi := ix.Window(ts, te)
-		if ix.sealed > 0 {
-			ix.compressedPlanInto(&plan, k, lo, hi)
-		} else {
-			scanPlanInto(&plan, ix.store, ix.metric, ix.times, lo, hi)
-		}
+		scanPlanInto(&plan, ix.store, ix.metric, ix.times, lo, hi)
 	}
 	scr.Subtasks = plan.Subtasks[:0]
 	planDur := time.Since(planStart)
@@ -197,22 +172,13 @@ func TailScanInto(plan *exec.Plan, store *vec.Store, metric vec.Metric, times []
 }
 
 // ScanRange brute-force scans global rows [lo, hi) of store, returning the
-// k nearest to q with global IDs. It is the BruteForce step of Algorithm 1,
-// shared with MBI's open-leaf handling and the dataset oracle.
+// k nearest to q with global IDs: the BruteForce step of Algorithm 1 over a
+// caller-chosen range, which the dataset package's exact ground truth uses.
 func ScanRange(store *vec.Store, metric vec.Metric, q []float32, k int, lo, hi int) []theap.Neighbor {
-	return ScanRangeContext(context.Background(), store, metric, q, k, lo, hi)
-}
-
-// ScanRangeContext is ScanRange with cancellation, delegating to the
-// executor's scan kernel: when the context fires mid-scan it returns the
-// best neighbors found in the prefix scanned so far — a truncated answer,
-// never an error. The executor tags the outcome Partial whenever the
-// context fired mid-plan, so truncation is always reported.
-func ScanRangeContext(ctx context.Context, store *vec.Store, metric vec.Metric, q []float32, k int, lo, hi int) []theap.Neighbor {
 	if k <= 0 || lo >= hi {
 		return nil
 	}
 	top := theap.NewTopK(k)
-	exec.ScanInto(ctx, top, store, metric, q, lo, hi)
+	exec.ScanInto(context.Background(), top, store, metric, q, lo, hi)
 	return top.Items()
 }

@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/exec"
-	"repro/internal/sq"
 	"repro/internal/theap"
 	"repro/internal/vec"
 )
@@ -78,6 +77,12 @@ func TestWindowBoundaries(t *testing.T) {
 	}
 }
 
+// search runs Query on a fresh scratch, which its results alias.
+func search(ix *Index, q []float32, k int, ts, te int64) []theap.Neighbor {
+	res, _ := ix.Query(context.Background(), exec.NewScratch(), q, k, ts, te)
+	return res
+}
+
 // exactTkNN is an independent reference implementation.
 func exactTkNN(ix *Index, q []float32, k int, ts, te int64) []theap.Neighbor {
 	var all []theap.Neighbor
@@ -102,7 +107,7 @@ func TestSearchMatchesReference(t *testing.T) {
 		k := 1 + rng.Intn(15)
 		ts := int64(rng.Intn(650)) - 20
 		te := ts + int64(rng.Intn(400))
-		got := ix.Search(q, k, ts, te)
+		got := search(ix, q, k, ts, te)
 		want := exactTkNN(ix, q, k, ts, te)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))
@@ -123,7 +128,7 @@ func TestSearchProperty(t *testing.T) {
 		k := int(kRaw)%20 + 1
 		ts := int64(rng.Intn(450)) - 20
 		te := ts + int64(rng.Intn(300))
-		got := ix.Search(q, k, ts, te)
+		got := search(ix, q, k, ts, te)
 		// Every result in window, sorted ascending, no duplicates, and no
 		// in-window vector closer than the worst result is missing.
 		times := ix.TimesRef()
@@ -150,16 +155,16 @@ func TestSearchProperty(t *testing.T) {
 
 func TestSearchEmptyWindowAndEmptyIndex(t *testing.T) {
 	ix := New(2, vec.Euclidean)
-	if got := ix.Search([]float32{0, 0}, 5, 0, 100); got != nil {
+	if got := search(ix, []float32{0, 0}, 5, 0, 100); got != nil {
 		t.Errorf("empty index search = %v", got)
 	}
 	if err := ix.Append([]float32{1, 1}, 5); err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Search([]float32{0, 0}, 5, 10, 20); len(got) != 0 {
+	if got := search(ix, []float32{0, 0}, 5, 10, 20); len(got) != 0 {
 		t.Errorf("out-of-window search = %v", got)
 	}
-	if got := ix.Search([]float32{0, 0}, 0, 0, 10); len(got) != 0 {
+	if got := search(ix, []float32{0, 0}, 0, 0, 10); len(got) != 0 {
 		t.Errorf("k=0 search = %v", got)
 	}
 }
@@ -218,9 +223,10 @@ func BenchmarkSearchWide(b *testing.B) {
 		}
 	}
 	q := make([]float32, 32)
+	ctx, scr := context.Background(), exec.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Search(q, 10, 0, 20000)
+		ix.Query(ctx, scr, q, 10, 0, 20000)
 	}
 }
 
@@ -233,45 +239,38 @@ func setProcs(t testing.TB, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// TestQueryIsTheOneBody: the pooled Search and a caller-owned-scratch
-// Query — warm or fresh, on one worker or four — are one body and return
-// bit-identical neighbors, on a flat index whose windows span several scan
-// chunks and on an SQ8 one with sealed chunks and an exact tail.
+// TestQueryIsTheOneBody: a warm scratch and a fresh one, on one worker or
+// four, return bit-identical neighbors from the one Query body, on windows
+// that span several scan chunks, one chunk's interior, and a handful of
+// rows.
 func TestQueryIsTheOneBody(t *testing.T) {
-	flat := New(4, vec.Euclidean)
-	comp, err := NewWithConfig(4, vec.Euclidean, Config{Compression: sq.SQ8, RerankFactor: 4, ChunkSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := New(4, vec.Euclidean)
 	rng := rand.New(rand.NewSource(5))
 	const n = 2*ScanChunk + 500
 	for i := 0; i < n; i++ {
 		v := []float32{float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64())}
-		for _, ix := range []*Index{flat, comp} {
-			if err := ix.Append(v, int64(i)); err != nil {
-				t.Fatal(err)
-			}
+		if err := ix.Append(v, int64(i)); err != nil {
+			t.Fatal(err)
 		}
 	}
 	ctx := context.Background()
-	for name, ix := range map[string]*Index{"flat": flat, "sq8": comp} {
-		warm := exec.NewScratch()
-		for _, win := range [][2]int64{{0, n}, {100, ScanChunk + 700}, {n - 300, n}, {40, 45}} {
-			q := []float32{float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64())}
-			want := ix.Search(q, 10, win[0], win[1])
-			if len(want) == 0 {
-				t.Fatalf("%s %v: no results", name, win)
+	warm := exec.NewScratch()
+	for _, win := range [][2]int64{{0, n}, {100, ScanChunk + 700}, {n - 300, n}, {40, 45}} {
+		q := []float32{float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64())}
+		setProcs(t, 1)
+		want := search(ix, q, 10, win[0], win[1])
+		if len(want) == 0 {
+			t.Fatalf("%v: no results", win)
+		}
+		for _, workers := range []int{1, 4} {
+			setProcs(t, workers)
+			got, out := ix.Query(ctx, warm, q, 10, win[0], win[1])
+			if out.Partial || !reflect.DeepEqual(got, want) {
+				t.Errorf("%v workers=%d warm scratch: partial=%v\n got %v\nwant %v", win, workers, out.Partial, got, want)
 			}
-			for _, workers := range []int{1, 4} {
-				setProcs(t, workers)
-				got, out := ix.Query(ctx, warm, q, 10, win[0], win[1])
-				if out.Partial || !reflect.DeepEqual(got, want) {
-					t.Errorf("%s %v workers=%d warm scratch: partial=%v\n got %v\nwant %v", name, win, workers, out.Partial, got, want)
-				}
-				got, _ = ix.Query(ctx, exec.NewScratch(), q, 10, win[0], win[1])
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s %v workers=%d fresh scratch:\n got %v\nwant %v", name, win, workers, got, want)
-				}
+			got, _ = ix.Query(ctx, exec.NewScratch(), q, 10, win[0], win[1])
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v workers=%d fresh scratch:\n got %v\nwant %v", win, workers, got, want)
 			}
 		}
 	}

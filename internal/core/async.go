@@ -3,8 +3,8 @@ package core
 // Asynchronous merging (Options.AsyncMerge). The paper's Algorithm 3
 // builds the sealed leaf's graph and every newly completed ancestor inside
 // the insert call; for a streaming ingester that means an occasional
-// Append stalls for the duration of a full-tree merge (see the
-// musicstream example's p-max). The index has one seal routine,
+// Append stalls for the duration of a full-tree merge (the max column of
+// internal/bench's AsyncMergeExperiment). The index has one seal routine,
 // processSeal, which never builds under the lock; AsyncMerge only selects
 // the goroutine that runs it:
 //

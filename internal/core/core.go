@@ -29,7 +29,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 
 	"repro/internal/blockcache"
@@ -152,7 +151,7 @@ type Block struct {
 // Len returns the number of vectors the block covers.
 func (b *Block) Len() int { return b.Hi - b.Lo }
 
-// Index is an MBI index. Append is single-writer; Search/Query may be
+// Index is an MBI index. Append is single-writer; Query may be
 // called concurrently with each other and with Append. Block graphs are
 // built outside the lock, so searches issued during a merge cascade do not
 // wait for it: they brute-force the sealed leaves whose blocks have not
@@ -502,18 +501,6 @@ type Request struct {
 	// durations, and the Partial flag: EXPLAIN ANALYZE to Explain's
 	// EXPLAIN. Its Blocks backing is reused.
 	Explain *Plan
-}
-
-// Search answers a TkNN query with every per-query parameter at the
-// index's default, returning up to k results ordered by ascending
-// distance. IDs are global insertion indices. Fewer than k results are
-// returned when the window holds fewer than k vectors. It is Query on a
-// pooled scratch with the results copied out.
-func (ix *Index) Search(q []float32, k int, ts, te int64) []theap.Neighbor {
-	scr := GetScratch()
-	defer PutScratch(scr)
-	res, _ := ix.Query(context.Background(), scr, Request{Q: q, K: k, Ts: ts, Te: te})
-	return slices.Clone(res) // keeps nil nil
 }
 
 // Query is the one search body: it plans the query (block selection plus

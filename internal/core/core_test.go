@@ -341,7 +341,7 @@ func TestSearchExactWithinOpenLeaf(t *testing.T) {
 	}
 	vs := fill(t, ix, 11, 20) // 2 sealed leaves + 4 in the open leaf
 	// Window entirely inside the open leaf (timestamps 16..19).
-	res := ix.Search(vs[18], 2, 16, 20)
+	res := search(ix, vs[18], 2, 16, 20)
 	if len(res) != 2 || res[0].ID != 18 || res[0].Dist != 0 {
 		t.Fatalf("open-leaf search = %v, want id 18 first", res)
 	}
@@ -352,17 +352,17 @@ func TestSearchEmptyAndDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Search(make([]float32, 8), 3, 0, 10); got != nil {
+	if got := search(ix, make([]float32, 8), 3, 0, 10); got != nil {
 		t.Errorf("empty index search = %v", got)
 	}
 	vs := fill(t, ix, 13, 10)
-	if got := ix.Search(vs[0], 0, 0, 10); got != nil {
+	if got := search(ix, vs[0], 0, 0, 10); got != nil {
 		t.Errorf("k=0 search = %v", got)
 	}
-	if got := ix.Search(vs[0], 3, 7, 7); got != nil {
+	if got := search(ix, vs[0], 3, 7, 7); got != nil {
 		t.Errorf("empty window search = %v", got)
 	}
-	if got := ix.Search(vs[0], 3, 100, 200); len(got) != 0 {
+	if got := search(ix, vs[0], 3, 100, 200); len(got) != 0 {
 		t.Errorf("out-of-range window = %v", got)
 	}
 }
@@ -425,7 +425,7 @@ func TestRecallAgainstExact(t *testing.T) {
 			ts, te := int64(a), int64(a+wlen)
 			q := vs[rng.Intn(len(vs))]
 			got := queryWith(ix, q, k, ts, te, p, rng)
-			want := exact.Search(q, k, ts, te)
+			want := exactSearch(exact, q, k, ts, te)
 			if len(want) == 0 {
 				recall++
 				continue

@@ -100,10 +100,10 @@ func TestSearchContextCancel(t *testing.T) {
 // call order or interleaving with other queries.
 func TestSearchDeterministicPerQuery(t *testing.T) {
 	ix, vs := execTestIndex(t)
-	first := ix.Search(vs[7], 4, 0, 300)
+	first := search(ix, vs[7], 4, 0, 300)
 	for i := 0; i < 5; i++ {
-		ix.Search(vs[i*31], 2, 0, 300) // interleave other queries
-		if got := ix.Search(vs[7], 4, 0, 300); !reflect.DeepEqual(got, first) {
+		search(ix, vs[i*31], 2, 0, 300) // interleave other queries
+		if got := search(ix, vs[7], 4, 0, 300); !reflect.DeepEqual(got, first) {
 			t.Fatalf("repeat %d: %v, want %v", i, got, first)
 		}
 	}

@@ -29,6 +29,19 @@ func queryCtx(ctx context.Context, ix *Index, req Request) ([]theap.Neighbor, ex
 	return ix.Query(ctx, NewScratch(), req)
 }
 
+// search is a query with every per-query parameter at the index default.
+func search(ix *Index, q []float32, k int, ts, te int64) []theap.Neighbor {
+	res, _ := queryCtx(context.Background(), ix, Request{Q: q, K: k, Ts: ts, Te: te})
+	return res
+}
+
+// exactSearch answers q exactly through BSBF's one query body on a fresh
+// scratch.
+func exactSearch(ix *bsbf.Index, q []float32, k int, ts, te int64) []theap.Neighbor {
+	res, _ := ix.Query(context.Background(), exec.NewScratch(), q, k, ts, te)
+	return res
+}
+
 // queryWith is a query with explicit Algorithm 2 parameters and an
 // explicit source of entry-point randomness, τ at the index default.
 func queryWith(ix *Index, q []float32, k int, ts, te int64, p graph.SearchParams, rng *rand.Rand) []theap.Neighbor {

@@ -74,7 +74,7 @@ func TestDefaultTauIsWithinTenPercentOfFewestEvals(t *testing.T) {
 		recall := make([]float64, len(taus))
 		for i, q := range d.Test {
 			ts, te := d.Times[starts[i]], d.Times[starts[i]+length-1]+1
-			want := exact.Search(q, k, ts, te)
+			want := exactSearch(exact, q, k, ts, te)
 			for j, tau := range taus {
 				got, out := ix.Query(context.Background(), scr, Request{Q: q, K: k, Ts: ts, Te: te, Tau: tau})
 				recall[j] += dataset.Recall(got, want, k)

@@ -37,7 +37,7 @@ import (
 )
 
 // Kind distinguishes the subtask flavors: the two of Algorithm 4, plus
-// their compressed (SQ8) counterparts.
+// the compressed (SQ8) graph walk.
 type Kind int
 
 const (
@@ -48,13 +48,10 @@ const (
 	// (Algorithm 1) — open leaves, unbuilt tails, probed IVF lists.
 	BruteScan
 	// CompressedGraph is GraphSearch over an SQ8-compressed block: the walk
-	// scores candidates against byte codes through an asymmetric lookup
-	// table, over-fetches RerankK, and re-ranks the survivors exactly
-	// against the float32 store.
+	// scores candidates against byte codes, decoded in registers by the
+	// float-query-against-byte-row kernels of package vec, over-fetches
+	// RerankK, and re-ranks the survivors exactly against the float32 store.
 	CompressedGraph
-	// CompressedScan is BruteScan over SQ8 codes with the same over-fetch
-	// and exact re-rank.
-	CompressedScan
 )
 
 // String returns the kind's name.
@@ -64,8 +61,6 @@ func (k Kind) String() string {
 		return "brute-scan"
 	case CompressedGraph:
 		return "compressed-graph"
-	case CompressedScan:
-		return "compressed-scan"
 	default:
 		return "graph-search"
 	}
@@ -113,7 +108,7 @@ type Subtask struct {
 	Times   []int64
 	Ts, Te  int64
 
-	// Compressed inputs (Kind == CompressedScan or CompressedGraph): Codes
+	// Compressed inputs (Kind == CompressedGraph): Codes
 	// is the block's SQ8 payload — its local row i is global row Lo+i — and
 	// RerankK is the over-fetch size (k·rerankFactor, clipped to the rows
 	// the kernel can produce) collected from the codes before the exact
@@ -166,10 +161,10 @@ type SubtaskResult struct {
 	Found int
 	// DistEvals is the number of distances the subtask's kernel computed:
 	// the distinct nodes a graph walk scored (its per-query memo answers
-	// every revisit), the rows a scan scored, plus, for the compressed
-	// kinds, the candidates the exact re-rank re-scored.
+	// every revisit), the rows a scan scored, plus, for a compressed
+	// walk, the candidates the exact re-rank re-scored.
 	DistEvals int
-	// Rerank is the time the compressed kernels spent re-scoring their
+	// Rerank is the time the compressed kernel spent re-scoring its
 	// over-fetched candidates against the float32 store (zero for
 	// uncompressed subtasks). It is contained in Duration.
 	Rerank time.Duration
@@ -195,7 +190,7 @@ type Outcome struct {
 	// Search is the wall-clock duration of the subtask-execution stage.
 	Search time.Duration
 	// Rerank is the summed per-subtask exact re-rank time of the plan's
-	// compressed kernels — CPU time, so under parallel fan-out it can
+	// compressed walks — CPU time, so under parallel fan-out it can
 	// exceed its share of the wall-clock Search. Zero for uncompressed
 	// plans.
 	Rerank time.Duration

@@ -6,13 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// ForEach runs fn(0) … fn(n-1) across at most workers goroutines,
-// preserving the batch semantics every fan-out in this repository has
-// documented since MBI.SearchBatch: the first error (by time of arrival)
-// aborts the batch — workers stop claiming new items and the error is
-// returned — and a done context stops the batch with ctx.Err(). Items
-// already in flight when the abort happens still finish; ForEach always
-// joins its goroutines before returning.
+// ForEach runs fn(0) … fn(n-1) across at most workers goroutines with
+// batch semantics: the first error (by time of arrival) aborts the batch —
+// workers stop claiming new items and the error is returned — and a done
+// context stops the batch with ctx.Err(). Items already in flight when the
+// abort happens still finish; ForEach always joins its goroutines before
+// returning.
 //
 // workers <= 1 (or n <= 1) runs sequentially on the calling goroutine.
 func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {

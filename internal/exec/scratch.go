@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,7 +44,7 @@ type Scratch struct {
 	results   []SubtaskResult
 	lists     [][]theap.Neighbor
 	tops      []theap.TopK
-	rtops     []theap.TopK      // per-subtask exact re-rank heaps (compressed kinds): tops[i] holds the over-fetched candidates while rtops[i] collects the re-scored top-k, because TopK.Items aliases its backing and cannot be refilled while iterated
+	rtops     []theap.TopK      // per-subtask exact re-rank heaps (compressed walks): tops[i] holds the over-fetched candidates while rtops[i] collects the re-scored top-k, because TopK.Items aliases its backing and cannot be refilled while iterated
 	searchers []*graph.Searcher // one per worker slot
 	merger    theap.Merger
 	next      atomic.Int64 // parallel-mode claim counter
@@ -54,19 +53,6 @@ type Scratch struct {
 // NewScratch returns an empty scratch; every buffer grows on first use and
 // is retained afterwards.
 func NewScratch() *Scratch { return &Scratch{} }
-
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
-
-// Pooled runs one query body on a pooled scratch and returns a fresh copy
-// of its scratch-aliased results, so the caller owns what it gets back. It
-// is the borrow → run → copy → return sequence behind the pooled Search of
-// every index that plans straight into an exec.Scratch (BSBF, SF, IVF).
-func Pooled(body func(*Scratch) []theap.Neighbor) []theap.Neighbor {
-	scr := scratchPool.Get().(*Scratch)
-	res := slices.Clone(body(scr)) // keeps nil nil
-	scratchPool.Put(scr)
-	return res
-}
 
 // ensure sizes the per-subtask arrays for an n-subtask plan, retaining the
 // result heaps' backing across growth.
@@ -155,8 +141,6 @@ func (s *Scratch) runSubtask(ctx context.Context, p *Plan, i, slot int) []theap.
 		return s.graphKernel(st, p.Query, p.K, top, i, slot)
 	case CompressedGraph:
 		return s.compressedGraphKernel(st, p.Query, p.K, top, i, slot)
-	case CompressedScan:
-		return s.compressedScanKernel(ctx, st, p.Query, p.K, top, i)
 	}
 	if st.List != nil {
 		s.results[i].DistEvals = ScanListInto(ctx, top, st.Store, st.Metric, p.Query, st.List)
@@ -194,31 +178,6 @@ func (s *Scratch) graphKernel(st *Subtask, q []float32, k int, top *theap.TopK, 
 	return res
 }
 
-// compressedScanKernel answers a CompressedScan subtask: an asymmetric
-// linear scan of the block's SQ8 codes over the window rows [ScanLo,
-// ScanHi), over-fetching RerankK candidates into top, then the exact
-// float32 re-rank keeps the true top k. Candidate ids are global
-// throughout (codes row g maps to global row st.Lo+g).
-//
-//tknn:hotpath
-func (s *Scratch) compressedScanKernel(ctx context.Context, st *Subtask, q []float32, k int, top *theap.TopK, i int) []theap.Neighbor {
-	rk := RerankK(k, 0, st.ScanHi-st.ScanLo)
-	if st.RerankK > 0 {
-		rk = st.RerankK
-	}
-	top.ResetK(rk)
-	qn := vec.Norm(q)
-	g := st.ScanLo
-	for ; g < st.ScanHi; g++ {
-		if (g-st.ScanLo)%scanPoll == scanPoll-1 && ctx.Err() != nil {
-			break
-		}
-		top.Push(theap.Neighbor{ID: int32(g), Dist: st.Codes.Dist(st.Metric, q, qn, g-st.Lo)})
-	}
-	s.results[i].DistEvals = g - st.ScanLo
-	return s.rerank(st, q, k, top.Items(), i)
-}
-
 // compressedGraphKernel answers a CompressedGraph subtask: the Algorithm 2
 // walk scores candidates against the block's SQ8 codes, over-fetches
 // RerankK, and the exact re-rank keeps the true top k.
@@ -253,7 +212,7 @@ func (s *Scratch) compressedGraphKernel(st *Subtask, q []float32, k int, top *th
 	return res
 }
 
-// rerank is the exact re-rank stage shared by the compressed kernels: the
+// rerank is the compressed walk's exact re-rank stage: the
 // over-fetched candidates (global ids, asymmetric distances) are re-scored
 // against the float32 store into the subtask's re-rank heap, which keeps
 // the exact top k. Its duration is recorded on the subtask's result — the

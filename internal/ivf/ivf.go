@@ -119,18 +119,6 @@ func (ix *Index) Build(seed int64) error {
 	return nil
 }
 
-// Search returns approximately the k nearest neighbors to q among vectors
-// with timestamps in [ts, te), probing the nprobe nearest inverted lists
-// (plus a brute-force tail scan over unbuilt vectors). Results use global
-// insertion indices and ascending distance order. It is Query on a pooled
-// scratch with the results copied out.
-func (ix *Index) Search(q []float32, k int, ts, te int64, nprobe int) []theap.Neighbor {
-	return exec.Pooled(func(scr *exec.Scratch) []theap.Neighbor {
-		res, _ := ix.Query(context.Background(), scr, q, k, ts, te, nprobe)
-		return res
-	})
-}
-
 // Query is the one search body: it translates the query into the shared
 // executor's shape and runs it. Centroid ranking and per-list window
 // binary searches happen at plan time (the select stage); each probed

@@ -1,12 +1,27 @@
 package ivf
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bsbf"
+	"repro/internal/exec"
+	"repro/internal/theap"
 	"repro/internal/vec"
 )
+
+// search runs Query on a fresh scratch, which its results alias.
+func search(ix *Index, q []float32, k int, ts, te int64, nprobe int) []theap.Neighbor {
+	res, _ := ix.Query(context.Background(), exec.NewScratch(), q, k, ts, te, nprobe)
+	return res
+}
+
+// exactSearch is the same through BSBF's exact query body.
+func exactSearch(ix *bsbf.Index, q []float32, k int, ts, te int64) []theap.Neighbor {
+	res, _ := ix.Query(context.Background(), exec.NewScratch(), q, k, ts, te)
+	return res
+}
 
 func clusteredData(seed int64, n, dim, clusters int) [][]float32 {
 	rng := rand.New(rand.NewSource(seed))
@@ -92,8 +107,8 @@ func TestSearchExactWithAllProbes(t *testing.T) {
 		a := rng.Intn(600)
 		b := a + 1 + rng.Intn(600-a)
 		q := vs[rng.Intn(len(vs))]
-		got := ix.Search(q, 5, int64(a), int64(b), 20) // probe everything
-		want := exact.Search(q, 5, int64(a), int64(b))
+		got := search(ix, q, 5, int64(a), int64(b), 20) // probe everything
+		want := exactSearch(exact, q, 5, int64(a), int64(b))
 		if len(got) != len(want) {
 			t.Fatalf("[%d,%d): %d results, want %d", a, b, len(got), len(want))
 		}
@@ -120,8 +135,8 @@ func TestSearchRecallGrowsWithProbes(t *testing.T) {
 		_ = rng
 		for trial := 0; trial < trials; trial++ {
 			q := vs[r.Intn(len(vs))]
-			got := ix.Search(q, 10, 0, 2000, nprobe)
-			want := exact.Search(q, 10, 0, 2000)
+			got := search(ix, q, 10, 0, 2000, nprobe)
+			want := exactSearch(exact, q, 10, 0, 2000)
 			thr := want[len(want)-1].Dist * 1.00001
 			hits := 0
 			for _, g := range got {
@@ -152,17 +167,17 @@ func TestSearchWindowRestriction(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		a := rng.Intn(500)
 		b := a + 1 + rng.Intn(500-a)
-		got := ix.Search(vs[rng.Intn(len(vs))], 8, int64(a), int64(b), 10)
+		got := search(ix, vs[rng.Intn(len(vs))], 8, int64(a), int64(b), 10)
 		for _, g := range got {
 			if int(g.ID) < a || int(g.ID) >= b {
 				t.Fatalf("result %d outside [%d, %d)", g.ID, a, b)
 			}
 		}
 	}
-	if got := ix.Search(vs[0], 3, 5, 5, 10); got != nil {
+	if got := search(ix, vs[0], 3, 5, 5, 10); got != nil {
 		t.Errorf("empty window returned %v", got)
 	}
-	if got := ix.Search(vs[0], 0, 0, 10, 10); got != nil {
+	if got := search(ix, vs[0], 0, 0, 10, 10); got != nil {
 		t.Errorf("k=0 returned %v", got)
 	}
 }
@@ -184,7 +199,7 @@ func TestSearchTailScan(t *testing.T) {
 		}
 	}
 	// A query targeting a tail vector must find it exactly.
-	got := ix.Search(vs[250], 1, 200, 300, 1)
+	got := search(ix, vs[250], 1, 200, 300, 1)
 	if len(got) != 1 || got[0].ID != 250 || got[0].Dist != 0 {
 		t.Fatalf("tail search = %v", got)
 	}
@@ -195,7 +210,7 @@ func TestSearchTailScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got = fresh.Search(vs[25], 1, 0, 50, 1)
+	got = search(fresh, vs[25], 1, 0, 50, 1)
 	if len(got) != 1 || got[0].ID != 25 {
 		t.Fatalf("unbuilt search = %v", got)
 	}

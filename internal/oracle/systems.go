@@ -59,13 +59,11 @@ func newSystems(cfg Config) ([]*system, func(), error) {
 		return nil, nil, err
 	}
 	systems = append(systems, &system{
-		name: "mbi-sync",
-		add:  mbiSync.Add,
-		search: func(q tknn.Query) ([]tknn.Result, error) {
-			return mbiSync.SearchContext(context.Background(), q)
-		},
-		exact: func(q tknn.Query) bool { return planIsBruteForce(mbiSync.Explain(q.Start, q.End)) },
-		floor: graphFloor,
+		name:   "mbi-sync",
+		add:    mbiSync.Add,
+		search: mbiSync.Search,
+		exact:  func(q tknn.Query) bool { return planIsBruteForce(mbiSync.Explain(q.Start, q.End)) },
+		floor:  graphFloor,
 	})
 
 	// MBI with asynchronous merging. Flushing before every query makes
@@ -111,13 +109,11 @@ func newSystems(cfg Config) ([]*system, func(), error) {
 		return nil, nil, err
 	}
 	systems = append(systems, &system{
-		name: "mbi-sq8",
-		add:  mbiSQ8.Add,
-		search: func(q tknn.Query) ([]tknn.Result, error) {
-			return mbiSQ8.SearchContext(context.Background(), q)
-		},
-		exact: func(q tknn.Query) bool { return planIsBruteForce(mbiSQ8.Explain(q.Start, q.End)) },
-		floor: func(Config) float64 { return sq8RecallFloor },
+		name:   "mbi-sq8",
+		add:    mbiSQ8.Add,
+		search: mbiSQ8.Search,
+		exact:  func(q tknn.Query) bool { return planIsBruteForce(mbiSQ8.Explain(q.Start, q.End)) },
+		floor:  func(Config) float64 { return sq8RecallFloor },
 	})
 
 	// MBI with tiered storage: cold blocks spilled to segment files
@@ -151,7 +147,7 @@ func newSystems(cfg Config) ([]*system, func(), error) {
 			if _, _, err := mbiTiered.SpillCold(); err != nil {
 				return nil, err
 			}
-			return mbiTiered.SearchContext(context.Background(), q)
+			return mbiTiered.Search(q)
 		},
 		exact: func(q tknn.Query) bool { return planIsBruteForce(mbiTiered.Explain(q.Start, q.End)) },
 		floor: graphFloor,

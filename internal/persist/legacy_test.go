@@ -130,8 +130,8 @@ func TestLegacyV2Loads(t *testing.T) {
 		}
 	}
 	q := make([]float32, 6)
-	want := ix.Search(q, 5, 0, 1<<40)
-	have := got.Search(q, 5, 0, 1<<40)
+	want := search(ix, q, 5, 0, 1<<40)
+	have := search(got, q, 5, 0, 1<<40)
 	if len(want) != len(have) {
 		t.Fatalf("loaded index found %d results, want %d", len(have), len(want))
 	}
@@ -175,8 +175,8 @@ func TestLegacyV3Loads(t *testing.T) {
 		t.Fatal("test index built no codes")
 	}
 	q := make([]float32, 6)
-	want := ix.Search(q, 5, 0, 1<<40)
-	have := got.Search(q, 5, 0, 1<<40)
+	want := search(ix, q, 5, 0, 1<<40)
+	have := search(got, q, 5, 0, 1<<40)
 	if len(want) != len(have) {
 		t.Fatalf("loaded index found %d results, want %d", len(have), len(want))
 	}
@@ -234,8 +234,8 @@ func TestCompressedRoundTrip(t *testing.T) {
 	}
 
 	q := make([]float32, 6)
-	want := ix.Search(q, 5, 0, 1<<40)
-	have := got.Search(q, 5, 0, 1<<40)
+	want := search(ix, q, 5, 0, 1<<40)
+	have := search(got, q, 5, 0, 1<<40)
 	for i := range want {
 		if want[i] != have[i] {
 			t.Fatalf("result %d: loaded %v, original %v", i, have[i], want[i])

@@ -1,8 +1,9 @@
 // Package persist serializes indexes to a versioned little-endian binary
-// format. Besides durability (the satellite example saves and reloads its
-// index), serialization is how the experiments measure index size: the
-// "Index Sizes" of Table 4 and Figure 7b are the byte counts these
-// encoders produce, covering vectors, timestamps, and every block graph.
+// format. Besides durability (the WAL's checkpoints are SaveMBI snapshots
+// that LoadMBI restores on restart), serialization is how the experiments
+// measure index size: the "Index Sizes" of Table 4 and Figure 7b are the
+// byte counts these encoders produce, covering vectors, timestamps, and
+// every block graph.
 //
 // Format history: version 1 had no integrity check, so a truncated or
 // bit-rotted file could deserialize into garbage. Version 2 appends an

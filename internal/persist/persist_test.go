@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,8 +10,16 @@ import (
 	"repro/internal/graph"
 	"repro/internal/nndescent"
 	"repro/internal/sf"
+	"repro/internal/theap"
 	"repro/internal/vec"
 )
+
+// search runs the index's one query body at its defaults on a fresh
+// scratch, which the results alias.
+func search(ix *core.Index, q []float32, k int, ts, te int64) []theap.Neighbor {
+	res, _ := ix.Query(context.Background(), core.NewScratch(), core.Request{Q: q, K: k, Ts: ts, Te: te})
+	return res
+}
 
 func buildMBI(t *testing.T, n int) *core.Index {
 	t.Helper()

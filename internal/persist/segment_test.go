@@ -193,7 +193,7 @@ func TestSpilledSnapshotRoundTrip(t *testing.T) {
 		ix := buildSpillMBI(t, dir, 45, compress)
 
 		q := make([]float32, 6)
-		want := ix.Search(q, 5, 0, 1<<40)
+		want := search(ix, q, 5, 0, 1<<40)
 
 		n, bytesSpilled, err := ix.SpillCold()
 		if err != nil {

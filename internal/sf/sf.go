@@ -9,7 +9,6 @@ package sf
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/bsbf"
@@ -24,7 +23,7 @@ import (
 // Append is single-writer. BuildGraph (re)indexes everything appended so
 // far; vectors appended after the last BuildGraph are covered by a
 // brute-force tail scan so that results stay complete between rebuilds.
-// Search is safe for concurrent use once a graph is built.
+// Query is safe for concurrent use once a graph is built.
 type Index struct {
 	store   *vec.Store
 	times   []int64
@@ -93,23 +92,6 @@ func (ix *Index) Restore(g *graph.CSR, built int) error {
 	ix.g = g
 	ix.built = built
 	return nil
-}
-
-// Search returns approximately the k nearest neighbors to q among vectors
-// with timestamps in [ts, te), ordered by ascending distance, with global
-// insertion indices as IDs. p tunes the Algorithm 2 traversal; rng picks
-// the random entry vertex (line 1) and must not be shared across
-// goroutines. It is Query on a pooled scratch with the results copied
-// out.
-func (ix *Index) Search(q []float32, k int, ts, te int64, p graph.SearchParams, rng *rand.Rand) []theap.Neighbor {
-	var entry int32
-	if ix.g != nil && ix.built > 0 {
-		entry = graph.RandomEntry(rng, ix.built)
-	}
-	return exec.Pooled(func(scr *exec.Scratch) []theap.Neighbor {
-		res, _ := ix.Query(context.Background(), scr, q, k, ts, te, p, entry)
-		return res
-	})
 }
 
 // Query is the one search body: it translates the query into the shared

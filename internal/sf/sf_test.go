@@ -1,14 +1,28 @@
 package sf
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bsbf"
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/nndescent"
+	"repro/internal/theap"
 	"repro/internal/vec"
 )
+
+// search runs Query on a fresh scratch, which its results alias, walking
+// the graph (when there is one) from an entry vertex drawn from rng.
+func search(ix *Index, q []float32, k int, ts, te int64, p graph.SearchParams, rng *rand.Rand) []theap.Neighbor {
+	var entry int32
+	if ix.Graph() != nil && ix.Built() > 0 {
+		entry = graph.RandomEntry(rng, ix.Built())
+	}
+	res, _ := ix.Query(context.Background(), exec.NewScratch(), q, k, ts, te, p, entry)
+	return res
+}
 
 func clusteredVectors(seed int64, n, dim, clusters int) [][]float32 {
 	rng := rand.New(rand.NewSource(seed))
@@ -63,11 +77,11 @@ func TestSearchBeforeBuildUsesTailScan(t *testing.T) {
 	// exact within the window.
 	rng := rand.New(rand.NewSource(2))
 	p := graph.SearchParams{MC: 32, Eps: 1.1}
-	res := ix.Search(vs[42], 1, 0, 100, p, rng)
+	res := search(ix, vs[42], 1, 0, 100, p, rng)
 	if len(res) != 1 || res[0].ID != 42 || res[0].Dist != 0 {
 		t.Fatalf("unbuilt-index exact search = %v", res)
 	}
-	res = ix.Search(vs[42], 5, 10, 20, p, rng)
+	res = search(ix, vs[42], 5, 10, 20, p, rng)
 	for _, r := range res {
 		if r.ID < 10 || r.ID >= 20 {
 			t.Fatalf("tail scan leaked out-of-window id %d", r.ID)
@@ -94,8 +108,8 @@ func TestSearchRecallAfterBuild(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		q := vs[rng.Intn(len(vs))]
 		// Long window: SF's favorable regime.
-		res := ix.Search(q, k, 0, 3000, p, rng)
-		want := exact.Search(q, k, 0, 3000)
+		res := search(ix, q, k, 0, 3000, p, rng)
+		want, _ := exact.Query(context.Background(), exec.NewScratch(), q, k, 0, 3000)
 		threshold := want[len(want)-1].Dist * 1.00001
 		hits := 0
 		for _, r := range res {
@@ -120,7 +134,7 @@ func TestSearchShortWindowStaysInWindow(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		ts := int64(rng.Intn(1900))
 		te := ts + 50
-		res := ix.Search(vs[rng.Intn(len(vs))], 10, ts, te, p, rng)
+		res := search(ix, vs[rng.Intn(len(vs))], 10, ts, te, p, rng)
 		for _, r := range res {
 			if int64(r.ID) < ts || int64(r.ID) >= te {
 				t.Fatalf("result id %d outside window [%d, %d)", r.ID, ts, te)
@@ -142,12 +156,12 @@ func TestSearchMixedGraphAndTail(t *testing.T) {
 	p := graph.SearchParams{MC: 64, Eps: 1.4}
 	// A query targeting a tail vector must find it exactly (tail is
 	// scanned brute force).
-	res := ix.Search(vs[1100], 1, 1050, 1200, p, rng)
+	res := search(ix, vs[1100], 1, 1050, 1200, p, rng)
 	if len(res) != 1 || res[0].ID != 1100 || res[0].Dist != 0 {
 		t.Fatalf("tail-targeted search = %v", res)
 	}
 	// A window spanning both regions returns results from both.
-	res = ix.Search(vs[990], 20, 900, 1100, p, rng)
+	res = search(ix, vs[990], 20, 900, 1100, p, rng)
 	var graphSide, tailSide bool
 	for _, r := range res {
 		if r.ID < 1000 {

@@ -136,27 +136,15 @@ func (x *IVF) Lists() int {
 
 // Search implements Index, probing Options.Probes lists.
 func (x *IVF) Search(q Query) ([]Result, error) {
-	return x.SearchProbes(q, x.opts.Probes)
-}
-
-// SearchContext is Search through the shared executor: probed lists scan
-// as independent subtasks across exec.Run's workers, and a done context
-// yields the results of the probes that ran (a partial answer, not an
-// error).
-func (x *IVF) SearchContext(ctx context.Context, q Query) ([]Result, error) {
-	res, _, err := x.SearchDetailed(ctx, q, x.opts.Probes)
+	res, _, err := x.SearchDetailed(context.Background(), q, x.opts.Probes)
 	return res, err
 }
 
-// SearchProbes is Search with an explicit probe count; nprobe >= Lists()
+// SearchDetailed is Search under ctx with an explicit probe count, plus
+// stage timings and the Partial flag: probed lists scan as independent
+// subtasks across exec.Run's workers, and a done context yields the results
+// of the probes that ran (a partial answer, not an error). nprobe >= Lists()
 // makes the answer exact within the window.
-func (x *IVF) SearchProbes(q Query, nprobe int) ([]Result, error) {
-	res, _, err := x.SearchDetailed(context.Background(), q, nprobe)
-	return res, err
-}
-
-// SearchDetailed is SearchContext with an explicit probe count, plus stage
-// timings and the Partial flag.
 func (x *IVF) SearchDetailed(ctx context.Context, q Query, nprobe int) ([]Result, SearchInfo, error) {
 	if nprobe <= 0 {
 		return nil, SearchInfo{}, fmt.Errorf("%w: nprobe = %d", ErrBadQuery, nprobe)
@@ -170,13 +158,6 @@ func (x *IVF) SearchDetailed(ctx context.Context, q Query, nprobe int) ([]Result
 	defer x.mu.RUnlock()
 	ns, out := x.inner.Query(ctx, scr.Exec(), q.Vector, q.K, q.Start, q.End, nprobe)
 	return toResults(ns, x.inner.Times()), infoFrom(out), nil
-}
-
-// SearchBatchContext fans queries across workers goroutines with the same
-// batch semantics as MBI.SearchBatch: the first query error aborts, and a
-// done context stops the batch with ctx.Err().
-func (x *IVF) SearchBatchContext(ctx context.Context, queries []Query, workers int) ([][]Result, error) {
-	return searchBatchCtx(ctx, queries, workers, x.SearchContext)
 }
 
 // Len implements Index.

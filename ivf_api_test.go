@@ -1,6 +1,7 @@
 package tknn_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestIVFEndToEnd(t *testing.T) {
 		t.Errorf("self-query = %v", res)
 	}
 	// Window restriction holds for few probes too.
-	res, err = ix.SearchProbes(tknn.Query{Vector: vs[50], K: 5, Start: 40, End: 60}, 2)
+	res, _, err = ix.SearchDetailed(context.Background(), tknn.Query{Vector: vs[50], K: 5, Start: 40, End: 60}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestIVFEndToEnd(t *testing.T) {
 			t.Errorf("result time %d outside window", r.Time)
 		}
 	}
-	if _, err := ix.SearchProbes(tknn.Query{Vector: vs[0], K: 1, Start: 0, End: 10}, 0); !errors.Is(err, tknn.ErrBadQuery) {
+	if _, _, err := ix.SearchDetailed(context.Background(), tknn.Query{Vector: vs[0], K: 1, Start: 0, End: 10}, 0); !errors.Is(err, tknn.ErrBadQuery) {
 		t.Errorf("nprobe=0 error = %v", err)
 	}
 }
@@ -84,24 +85,5 @@ func TestIVFAutoRebuild(t *testing.T) {
 	}
 	if ix.Built() < 200 {
 		t.Errorf("Built = %d, want >= 200 after automatic rebuilds", ix.Built())
-	}
-}
-
-func TestIVFErrorPaths(t *testing.T) {
-	ix, err := tknn.NewIVF(tknn.IVFOptions{Dim: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Add([]float32{1}, 0); !errors.Is(err, tknn.ErrDimension) {
-		t.Errorf("wrong-dim error = %v", err)
-	}
-	if err := ix.Add([]float32{1, 2, 3, 4}, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Add([]float32{1, 2, 3, 4}, 5); !errors.Is(err, tknn.ErrTimestampOrder) {
-		t.Errorf("order error = %v", err)
-	}
-	if err := ix.Build(); err != nil {
-		t.Fatal(err)
 	}
 }

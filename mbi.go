@@ -260,20 +260,15 @@ func (m *MBI) Add(v []float32, t int64) error {
 // Search implements Index. Block selection uses the threshold
 // Options.Tau.
 func (m *MBI) Search(q Query) ([]Result, error) {
-	return m.SearchContext(context.Background(), q)
-}
-
-// SearchContext is Search with cancellation/deadline semantics: block
-// subtasks never start after ctx is done, and on expiry the merged results
-// of the blocks that did run are returned — a partial answer, not an
-// error. Use SearchDetailed to observe the Partial flag and stage timings.
-func (m *MBI) SearchContext(ctx context.Context, q Query) ([]Result, error) {
-	res, _, err := m.SearchDetailed(ctx, q)
+	res, _, err := m.SearchDetailed(context.Background(), q)
 	return res, err
 }
 
-// SearchDetailed is SearchContext plus execution details: per-stage
-// durations and whether the answer is partial.
+// SearchDetailed is Search with cancellation/deadline semantics and
+// execution details: block subtasks never start after ctx is done, and on
+// expiry the merged results of the blocks that did run are returned — a
+// partial answer, not an error — with SearchInfo.Partial set, beside the
+// per-stage durations.
 func (m *MBI) SearchDetailed(ctx context.Context, q Query) ([]Result, SearchInfo, error) {
 	return m.search(ctx, q, nil)
 }
@@ -288,21 +283,6 @@ func (m *MBI) search(ctx context.Context, q Query, explain *core.Plan) ([]Result
 	defer core.PutScratch(scr)
 	ns, out := m.inner.Query(ctx, scr, core.Request{Q: q.Vector, K: q.K, Ts: q.Start, Te: q.End, Explain: explain})
 	return toResults(ns, m.inner.Times()), infoFrom(out), nil
-}
-
-// SearchBatch answers many queries, fanning them across workers
-// goroutines (0 or 1 means sequential). Results[i] answers queries[i];
-// the first query error aborts the batch. Concurrent searches are safe —
-// this is plain fan-out over Search.
-func (m *MBI) SearchBatch(queries []Query, workers int) ([][]Result, error) {
-	return m.SearchBatchContext(context.Background(), queries, workers)
-}
-
-// SearchBatchContext is SearchBatch with a context: a done context stops
-// the batch with ctx.Err() (queries already in flight still finish), in
-// addition to the first-error-aborts semantics of SearchBatch.
-func (m *MBI) SearchBatchContext(ctx context.Context, queries []Query, workers int) ([][]Result, error) {
-	return searchBatchCtx(ctx, queries, workers, m.SearchContext)
 }
 
 // Len implements Index.

@@ -29,7 +29,6 @@
 package tknn
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -87,11 +86,11 @@ type Result struct {
 
 // SearchInfo describes how one query executed through the shared
 // execution layer: per-stage wall-clock durations and the partial-result
-// flag. All SearchContext methods share these semantics.
+// flag. Every facade's SearchDetailed shares these semantics.
 type SearchInfo struct {
 	// Partial reports that the context was done before the query plan
 	// finished executing, so the results cover only the work that ran.
-	// Context-free Search calls never set it.
+	// Search, which runs under context.Background, never sets it.
 	Partial bool
 	// Select is the planning stage: block selection (MBI), window binary
 	// search (BSBF), centroid ranking (IVF), entry drawing (SF).
@@ -114,24 +113,6 @@ type SearchInfo struct {
 
 func infoFrom(out exec.Outcome) SearchInfo {
 	return SearchInfo{Partial: out.Partial, Select: out.Select, Search: out.Search, Merge: out.Merge, Rerank: out.Rerank, Fetch: out.Fetch}
-}
-
-// searchBatchCtx fans queries across workers with first-error-aborts
-// batch semantics, shared by every SearchBatchContext.
-func searchBatchCtx(ctx context.Context, queries []Query, workers int, search func(context.Context, Query) ([]Result, error)) ([][]Result, error) {
-	out := make([][]Result, len(queries))
-	err := exec.ForEach(ctx, workers, len(queries), func(i int) error {
-		res, err := search(ctx, queries[i])
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Index is the interface all three index types satisfy.

@@ -93,28 +93,47 @@ func TestMBIEndToEnd(t *testing.T) {
 	}
 }
 
-func TestMBIErrorPaths(t *testing.T) {
-	ix, err := tknn.NewMBI(tknn.MBIOptions{Dim: 4})
-	if err != nil {
-		t.Fatal(err)
+// TestErrorContractFourIndexes: every facade refuses the same inputs with
+// the same errors — ErrDimension for a wrong-size vector, ErrTimestampOrder
+// for a regressing timestamp, each with Len unchanged, and ErrBadQuery for a
+// wrong-size query vector, K <= 0, or an empty window.
+func TestErrorContractFourIndexes(t *testing.T) {
+	const dim = 4
+	ok := []float32{1, 2, 3, 4}
+	badQueries := map[string]tknn.Query{
+		"wrong dim":        {Vector: []float32{1}, K: 1, Start: 0, End: 20},
+		"K = 0":            {Vector: ok, K: 0, Start: 0, End: 20},
+		"K < 0":            {Vector: ok, K: -1, Start: 0, End: 20},
+		"empty window":     {Vector: ok, K: 1, Start: 5, End: 5},
+		"reversed window":  {Vector: ok, K: 1, Start: 9, End: 5},
+		"nil query vector": {K: 1, Start: 0, End: 20},
 	}
-	if err := ix.Add([]float32{1, 2}, 0); !errors.Is(err, tknn.ErrDimension) {
-		t.Errorf("wrong-dim Add error = %v", err)
-	}
-	if err := ix.Add([]float32{1, 2, 3, 4}, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Add([]float32{1, 2, 3, 4}, 5); !errors.Is(err, tknn.ErrTimestampOrder) {
-		t.Errorf("out-of-order Add error = %v", err)
-	}
-	if _, err := ix.Search(tknn.Query{Vector: []float32{1}, K: 1, Start: 0, End: 1}); !errors.Is(err, tknn.ErrBadQuery) {
-		t.Errorf("bad-dim query error = %v", err)
-	}
-	if _, err := ix.Search(tknn.Query{Vector: []float32{1, 2, 3, 4}, K: 0, Start: 0, End: 1}); !errors.Is(err, tknn.ErrBadQuery) {
-		t.Errorf("k=0 query error = %v", err)
-	}
-	if _, err := ix.Search(tknn.Query{Vector: []float32{1, 2, 3, 4}, K: 1, Start: 5, End: 5}); !errors.Is(err, tknn.ErrBadQuery) {
-		t.Errorf("empty-window query error = %v", err)
+	for name, ix := range fourIndexes(t, dim) {
+		if err := ix.Add(ok, 10); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for what, v := range map[string][]float32{"short": {1, 2}, "long": {1, 2, 3, 4, 5}, "nil": nil} {
+			if err := ix.Add(v, 11); !errors.Is(err, tknn.ErrDimension) {
+				t.Errorf("%s: Add(%s vector) error = %v, want ErrDimension", name, what, err)
+			}
+		}
+		if ix.Len() != 1 {
+			t.Fatalf("%s: Len = %d after refused wrong-size Adds, want 1", name, ix.Len())
+		}
+		if err := ix.Add(ok, 5); !errors.Is(err, tknn.ErrTimestampOrder) {
+			t.Errorf("%s: out-of-order Add error = %v, want ErrTimestampOrder", name, err)
+		}
+		if ix.Len() != 1 {
+			t.Fatalf("%s: Len = %d after refused out-of-order Add, want 1", name, ix.Len())
+		}
+		for what, q := range badQueries {
+			if res, err := ix.Search(q); !errors.Is(err, tknn.ErrBadQuery) {
+				t.Errorf("%s: Search(%s) = %v, %v, want ErrBadQuery", name, what, res, err)
+			}
+		}
+		if res, err := ix.Search(tknn.Query{Vector: ok, K: 1, Start: 0, End: 20}); err != nil || len(res) != 1 {
+			t.Errorf("%s: valid Search after refusals = %v, %v, want the one vector", name, res, err)
+		}
 	}
 }
 

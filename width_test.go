@@ -11,12 +11,6 @@ import (
 
 	tknn "repro"
 	"repro/internal/bsbf"
-	"repro/internal/graph"
-	"repro/internal/ivf"
-	"repro/internal/nndescent"
-	"repro/internal/sf"
-	"repro/internal/theap"
-	"repro/internal/vec"
 )
 
 // setProcs pins GOMAXPROCS — all that the width of a query depends on
@@ -28,11 +22,10 @@ func setProcs(t testing.TB, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// TestNonFiniteRejected: a NaN or ±Inf coordinate poisons every distance
-// computed against it, so all four facades refuse it — ErrNonFinite and an
-// unchanged Len on the stored side, ErrBadQuery on the query side.
-func TestNonFiniteRejected(t *testing.T) {
-	const dim = 4
+// fourIndexes returns one empty index of each facade over dim-dimensional
+// Euclidean vectors, keyed by name.
+func fourIndexes(t *testing.T, dim int) map[string]tknn.Index {
+	t.Helper()
 	mbi, err := tknn.NewMBI(tknn.MBIOptions{Dim: dim, LeafSize: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +42,14 @@ func TestNonFiniteRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return map[string]tknn.Index{"mbi": mbi, "bsbf": bs, "sf": sfIx, "ivf": ivfIx}
+}
+
+// TestNonFiniteRejected: a NaN or ±Inf coordinate poisons every distance
+// computed against it, so all four facades refuse it — ErrNonFinite and an
+// unchanged Len on the stored side, ErrBadQuery on the query side.
+func TestNonFiniteRejected(t *testing.T) {
+	const dim = 4
 	nan := float32(math.NaN())
 	inf := float32(math.Inf(1))
 	bad := map[string][]float32{
@@ -56,7 +57,7 @@ func TestNonFiniteRejected(t *testing.T) {
 		"+Inf": {inf, 2, 3, 4},
 		"-Inf": {1, 2, 3, -inf},
 	}
-	for name, ix := range map[string]tknn.Index{"mbi": mbi, "bsbf": bs, "sf": sfIx, "ivf": ivfIx} {
+	for name, ix := range fourIndexes(t, dim) {
 		if err := ix.Add([]float32{1, 2, 3, 4}, 1); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -100,11 +101,10 @@ func sameBits(a, b answers) error {
 }
 
 // TestOneRuleFourIndexes: exec.Run's width comes from GOMAXPROCS alone, for
-// every index alike — the facades and the inner pooled Search of bsbf, sf
-// and ivf (pinned to one worker before the knob went) — and it never
-// changes an answer: ids, times and distance bits are identical at 1, 2 and
-// 4 procs, i.e. on the inline loop, on runSeqCold (the spilled MBI) and on
-// the claim workers.
+// every index alike, and it never changes an answer: ids, times and
+// distance bits are identical at 1, 2 and 4 procs, i.e. on the inline loop,
+// on runSeqCold (the spilled MBI) and on the claim workers. A second BSBF
+// holds more than two scan chunks, so its windows split across workers.
 func TestOneRuleFourIndexes(t *testing.T) {
 	const dim, n, k = 8, 600, 7
 	vs := randClustered(31, n, dim)
@@ -126,7 +126,7 @@ func TestOneRuleFourIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, err := tknn.NewBSBFWithOptions(tknn.BSBFOptions{Dim: dim, Compression: tknn.CompressionSQ8, ChunkSize: 64})
+	bs, err := tknn.NewBSBF(dim, tknn.Euclidean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,16 +138,15 @@ func TestOneRuleFourIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	builder := nndescent.MustNew(nndescent.DefaultConfig(8))
-	innerSF := sf.New(dim, vec.Euclidean, builder)
-	innerIVF := ivf.New(dim, vec.Euclidean, ivf.Config{Lists: 8})
-	// The flat scan only splits past bsbf.ScanChunk rows, so the inner BSBF
-	// gets a long cheap dataset of its own.
-	innerBSBF := bsbf.New(dim, vec.Euclidean)
+	// The scan only splits past bsbf.ScanChunk rows, so a second BSBF gets a
+	// long cheap dataset of its own.
+	long, err := tknn.NewBSBF(dim, tknn.Euclidean)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(32))
 	for i := 0; i < 2*bsbf.ScanChunk+300; i++ {
-		v := vs[rng.Intn(n)]
-		if err := innerBSBF.Append(v, int64(i)); err != nil {
+		if err := long.Add(vs[rng.Intn(n)], int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,19 +158,9 @@ func TestOneRuleFourIndexes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := innerSF.Append(v, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := innerIVF.Append(v, int64(i)); err != nil {
-			t.Fatal(err)
-		}
 		if i == built-1 {
 			sfIx.Build()
-			innerSF.BuildGraph(3)
 			if err := ivfIx.Build(); err != nil {
-				t.Fatal(err)
-			}
-			if err := innerIVF.Build(3); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -188,14 +177,6 @@ func TestOneRuleFourIndexes(t *testing.T) {
 			queries = append(queries, tknn.Query{Vector: vs[rng.Intn(n)], K: k, Start: w.start, End: w.end})
 		}
 	}
-	fromNeighbors := func(ns []theap.Neighbor) []tknn.Result {
-		out := make([]tknn.Result, len(ns))
-		for i, nb := range ns {
-			out[i] = tknn.Result{ID: int(nb.ID), Dist: nb.Dist}
-		}
-		return out
-	}
-	sp := graph.SearchParams{MC: 16, Eps: 1.3}
 	systems := []struct {
 		name   string
 		search func(q tknn.Query) ([]tknn.Result, error)
@@ -212,16 +193,11 @@ func TestOneRuleFourIndexes(t *testing.T) {
 		{"bsbf", bs.Search},
 		{"sf", sfIx.Search},
 		{"ivf", ivfIx.Search},
-		{"inner-bsbf", func(q tknn.Query) ([]tknn.Result, error) {
+		{"bsbf-long", func(q tknn.Query) ([]tknn.Result, error) {
 			// Stretch the window over the long dataset's several chunks.
-			scale := int64(innerBSBF.Len() / n)
-			return fromNeighbors(innerBSBF.Search(q.Vector, q.K, q.Start*scale, q.End*scale)), nil
-		}},
-		{"inner-sf", func(q tknn.Query) ([]tknn.Result, error) {
-			return fromNeighbors(innerSF.Search(q.Vector, q.K, q.Start, q.End, sp, rand.New(rand.NewSource(9)))), nil
-		}},
-		{"inner-ivf", func(q tknn.Query) ([]tknn.Result, error) {
-			return fromNeighbors(innerIVF.Search(q.Vector, q.K, q.Start, q.End, 5)), nil
+			scale := int64(long.Len() / n)
+			q.Start, q.End = q.Start*scale, q.End*scale
+			return long.Search(q)
 		}},
 	}
 
