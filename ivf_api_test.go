@@ -87,3 +87,22 @@ func TestIVFAutoRebuild(t *testing.T) {
 		t.Errorf("Built = %d, want >= 200 after automatic rebuilds", ix.Built())
 	}
 }
+
+func TestIVFErrorPaths(t *testing.T) {
+	ix, err := tknn.NewIVF(tknn.IVFOptions{Dim: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Add([]float32{1}, 0); !errors.Is(err, tknn.ErrDimension) {
+		t.Errorf("wrong-dim error = %v", err)
+	}
+	if err := ix.Add([]float32{1, 2, 3, 4}, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Add([]float32{1, 2, 3, 4}, 5); !errors.Is(err, tknn.ErrTimestampOrder) {
+		t.Errorf("order error = %v", err)
+	}
+	if err := ix.Build(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -93,6 +93,31 @@ func TestMBIEndToEnd(t *testing.T) {
 	}
 }
 
+func TestMBIErrorPaths(t *testing.T) {
+	ix, err := tknn.NewMBI(tknn.MBIOptions{Dim: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Add([]float32{1, 2}, 0); !errors.Is(err, tknn.ErrDimension) {
+		t.Errorf("wrong-dim Add error = %v", err)
+	}
+	if err := ix.Add([]float32{1, 2, 3, 4}, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Add([]float32{1, 2, 3, 4}, 5); !errors.Is(err, tknn.ErrTimestampOrder) {
+		t.Errorf("out-of-order Add error = %v", err)
+	}
+	if _, err := ix.Search(tknn.Query{Vector: []float32{1}, K: 1, Start: 0, End: 1}); !errors.Is(err, tknn.ErrBadQuery) {
+		t.Errorf("bad-dim query error = %v", err)
+	}
+	if _, err := ix.Search(tknn.Query{Vector: []float32{1, 2, 3, 4}, K: 0, Start: 0, End: 1}); !errors.Is(err, tknn.ErrBadQuery) {
+		t.Errorf("k=0 query error = %v", err)
+	}
+	if _, err := ix.Search(tknn.Query{Vector: []float32{1, 2, 3, 4}, K: 1, Start: 5, End: 5}); !errors.Is(err, tknn.ErrBadQuery) {
+		t.Errorf("empty-window query error = %v", err)
+	}
+}
+
 // TestErrorContractFourIndexes: every facade refuses the same inputs with
 // the same errors — ErrDimension for a wrong-size vector, ErrTimestampOrder
 // for a regressing timestamp, each with Len unchanged, and ErrBadQuery for a
